@@ -4,7 +4,19 @@ The density at x is the volume of the momentum fiber over x, measured in the
 affine lattice Z^n ∩ ker(pi) (so a fundamental cell of that lattice has
 volume one).  Working in kernel-lattice coordinates makes the normalization
 automatic: the fiber becomes a polytope in R^(n-k) whose Euclidean volume is
-the lattice-normalized one.  On each top-dimensional stratum the density is
+the lattice-normalized one.
+
+The volume is exact and comes from a triangulation driven by vertex-facet
+incidence (Bueler-Enge-Fukuda, "Exact volume computation for polytopes"):
+each fiber row is reduced once to the set of vertices it is tight at, and a
+face is handled as a set of vertex indices.  The facets of a face S are the
+maximal proper nonempty sets among the intersections of S with the row tight
+sets -- every facet of a face F is F meet some facet of the fiber, so this
+stays correct for redundant and repeated rows.  The fan from the least vertex
+of S over the facets that miss it is recursed into down to single vertices;
+only the resulting d-simplices touch coordinates, one exact determinant each.
+
+On each top-dimensional stratum the density is
 a polynomial of total degree at most n-k, recovered by exact interpolation
 and re-verified on held-out points.
 
@@ -114,39 +126,52 @@ def _det(rows: list[Vec]) -> Fraction:
     return det
 
 
-def _triangulate(points: list[Vec], d: int) -> list[tuple[Vec, ...]]:
-    """Fan triangulation of the full-dimensional conv(points) in R^d."""
-    if d == 0:
-        return [(points[0],)]
-    from .polyhedron import facets_from_points
+def _incidence_fan(
+    tight: list[frozenset[int]], face: frozenset[int], memo: dict
+) -> list[tuple[int, ...]]:
+    """Fan triangulation of a face, as vertex-index simplices.
 
-    v0 = min(points)
-    simplices = []
-    for a, beta in facets_from_points(points, d):
-        if dot(a, v0) == beta:
-            continue
-        fpts = [p for p in points if dot(a, p) == beta]
-        hull = AffineSubspace.from_points(fpts)
-        local = [hull.to_local(p) for p in fpts]
-        for s in _triangulate(local, d - 1):
-            simplices.append((v0,) + tuple(hull.from_local(q) for q in s))
+    The facets of the face are the maximal proper nonempty sets among its
+    intersections with the row tight sets; the apex is the face's least
+    vertex index, and the facets that contain it are skipped.
+    """
+    if len(face) == 1:
+        return [tuple(face)]
+    if face in memo:
+        return memo[face]
+    apex = min(face)
+    candidates = sorted({face & t for t in tight} - {face, frozenset()}, key=len, reverse=True)
+    facets: list[frozenset[int]] = []
+    for c in candidates:
+        if not any(c < f for f in facets):
+            facets.append(c)
+    simplices = [
+        (apex,) + s for f in facets if apex not in f for s in _incidence_fan(tight, f, memo)
+    ]
+    memo[face] = simplices
     return simplices
 
 
-def polytope_volume(verts: list[Vec], d: int) -> Fraction:
-    """Exact Euclidean d-volume of conv(verts) inside R^d."""
+def polytope_volume(rows: list[Functional], verts: list[Vec], d: int) -> Fraction:
+    """Exact Euclidean d-volume of conv(verts) inside R^d.
+
+    ``rows`` are valid inequalities for conv(verts) among which every facet
+    appears (redundant and repeated rows are harmless), e.g. the H-rows the
+    vertices were enumerated from.
+    """
     if d == 0:
         return Fraction(1)
     hull = AffineSubspace.from_points(verts)
     if hull.dim < d:
         return ZERO
+    tight = {frozenset(i for i, v in enumerate(verts) if dot(a, v) == beta) for a, beta in rows}
     total = ZERO
+    for simplex in _incidence_fan(list(tight), frozenset(range(len(verts))), {}):
+        v0 = verts[simplex[0]]
+        total += abs(_det([sub(verts[i], v0) for i in simplex[1:]]))
     factorial = 1
     for i in range(2, d + 1):
         factorial *= i
-    for simplex in _triangulate(verts, d):
-        rows = [sub(p, simplex[0]) for p in simplex[1:]]
-        total += abs(_det(rows))
     return total / factorial
 
 
@@ -158,7 +183,7 @@ def fiber_volume(a: ToricAction, x) -> FiberVolume:
     verts = enumerate_vertices(rows, d)
     if not verts:
         raise EmptyFiber(f"fiber over {x} is empty")
-    return FiberVolume(point, polytope_volume(verts, d))
+    return FiberVolume(point, polytope_volume(rows, verts, d))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +249,10 @@ def density_polynomial(
             rhs.append(fiber_volume(a, x).volume)
             used.add(x)
     coeffs = solve(mat(rows), vec(rhs))
-    assert coeffs is not None
+    if coeffs is None:
+        raise InterpolationInconsistent(
+            f"stratum {stratum_id}: the interpolation system has no solution"
+        )
     poly = DensityPoly(
         stratum_id,
         tuple((e, c) for e, c in zip(monomials, coeffs) if c != 0),

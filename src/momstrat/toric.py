@@ -38,7 +38,6 @@ from .polyhedron import (
     face_lattice,
     hpolytope_from_points,
     project_relint,
-    vertices,
 )
 from .stratifier import Stratification, stratify
 
@@ -62,7 +61,7 @@ class ToricAction:
         k = len(b[0]) if b else 0
         if rank(b) != k:
             raise RankDeficient("subtorus matrix must have full column rank")
-        vertices(polytope)  # raises UnboundedPolytope / EmptyPolytope
+        face_lattice(polytope)  # raises UnboundedPolytope / EmptyPolytope
         return ToricAction(polytope, b, name)
 
     @property

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from momstrat import (
     ToricAction,
@@ -12,8 +16,10 @@ from momstrat import (
     mc_fiber_volume,
     vec,
 )
+from momstrat import dh
 from momstrat.dh import polytope_volume
-from momstrat.errors import EmptyFiber, NotTopDimensional
+from momstrat.errors import EmptyFiber, InterpolationInconsistent, NotTopDimensional
+from momstrat.linalg import dot
 from support import (
     corpus,
     paper_action,
@@ -45,13 +51,96 @@ def test_fiber_volume_empty_raises():
         fiber_volume(paper_action(), [10, 10])
 
 
+def _rows(*pairs):
+    return [(vec(a), F(b)) for a, b in pairs]
+
+
 def test_polytope_volume_triangulation():
     square = [vec([0, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])]
-    assert polytope_volume(square, 2) == 1
+    square_rows = _rows(([-1, 0], 0), ([1, 0], 1), ([0, -1], 0), ([0, 1], 1))
+    assert polytope_volume(square_rows, square, 2) == 1
     simplex3 = [vec([0, 0, 0]), vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
-    assert polytope_volume(simplex3, 3) == F(1, 6)
+    simplex3_rows = _rows(([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([1, 1, 1], 1))
+    assert polytope_volume(simplex3_rows, simplex3, 3) == F(1, 6)
     flat = [vec([0, 0]), vec([1, 1])]
-    assert polytope_volume(flat, 2) == 0
+    flat_rows = _rows(([1, -1], 0), ([-1, 1], 0), ([1, 0], 1), ([-1, 0], 0))
+    assert polytope_volume(flat_rows, flat, 2) == 0
+
+
+def _box(lo, sides):
+    verts = [vec([l + s * c for l, s, c in zip(lo, sides, corner)])
+             for corner in itertools.product((0, 1), repeat=len(lo))]
+    rows = []
+    for i, (l, s) in enumerate(zip(lo, sides)):
+        e = [0] * len(lo)
+        e[i] = 1
+        rows += _rows(([-x for x in e], -l), (e, l + s))
+    return rows, verts
+
+
+def _simplex(lo, c):
+    d = len(lo)
+    verts = [vec(lo)]
+    verts += [vec([l + (c if j == i else 0) for j, l in enumerate(lo)]) for i in range(d)]
+    rows = [(vec([-1 if j == i else 0 for j in range(d)]), F(-lo[i])) for i in range(d)]
+    rows += _rows(([1] * d, sum(lo) + c))
+    return rows, verts
+
+
+@hs.composite
+def _polytope_with_redundant_rows(draw):
+    d = draw(hs.integers(1, 4))
+    lo = draw(hs.lists(hs.integers(-3, 3), min_size=d, max_size=d))
+    if draw(hs.booleans()):
+        sides = draw(hs.lists(hs.integers(1, 4), min_size=d, max_size=d))
+        rows, verts = _box(lo, sides)
+        expected = F(math.prod(sides))
+    else:
+        c = draw(hs.integers(1, 4))
+        rows, verts = _simplex(lo, c)
+        expected = F(c**d, math.factorial(d))
+    a, beta = rows[draw(hs.integers(0, len(rows) - 1))]
+    scale = F(draw(hs.integers(1, 5)), draw(hs.integers(1, 5)))
+    rows.append((a, beta))  # duplicated row
+    rows.append((tuple(scale * x for x in a), scale * beta))  # positively scaled copy
+    a, beta = rows[draw(hs.integers(0, len(rows) - 1))]
+    rows.append((a, beta + 1))  # tight nowhere
+    # tight at exactly one vertex: a functional with a unique maximizer
+    w = vec(draw(hs.lists(hs.integers(-3, 3).filter(bool), min_size=d, max_size=d)))
+    values = sorted(dot(w, v) for v in verts)
+    assume(len(values) == 1 or values[-1] != values[-2])
+    rows.append((w, values[-1]))
+    rows = draw(hs.permutations(rows))
+    verts = draw(hs.permutations(verts))
+    return rows, verts, d, expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polytope_with_redundant_rows())
+def test_polytope_volume_closed_forms_with_redundant_rows(case):
+    rows, verts, d, expected = case
+    assert polytope_volume(rows, verts, d) == expected
+
+
+def test_polytope_volume_flat_box_is_zero():
+    rows, verts = _box([0, 1, -1], [2, 0, 3])
+    assert len(set(verts)) == 4
+    assert polytope_volume(rows, sorted(set(verts)), 3) == 0
+
+
+def test_density_polynomial_unsolvable_system_is_typed(monkeypatch):
+    a = paper_action()
+    s = hamiltonian_stratification(a)
+    top = [st for st in s.strata if st.dim == 2][0]
+    real_solve = dh.solve
+
+    def solve_without_interpolation(m, b):
+        # the interpolation system is square; the paper projection is 2 x 3
+        return None if len(m) == len(m[0]) else real_solve(m, b)
+
+    monkeypatch.setattr(dh, "solve", solve_without_interpolation)
+    with pytest.raises(InterpolationInconsistent, match=f"stratum {top.id}"):
+        density_polynomial(a, s, top.id)
 
 
 def _chamber_with_sample(s, predicate):

@@ -17,10 +17,12 @@ from momstrat import (
     vec,
 )
 from momstrat.errors import (
+    EmptyPolytope,
     NonEffectiveAction,
     NonIntegralInput,
     PointOutsideImage,
     RankDeficient,
+    UnboundedPolytope,
 )
 from momstrat.linalg import identity, in_row_space, row_space_basis
 from momstrat.toric import isotropy_for_face, face_image_cells
@@ -81,6 +83,11 @@ def test_toric_action_input_validation():
         ToricAction.make(unit_square(), mat([[1, 1], [1, 1]]))
     with pytest.raises(RankDeficient):
         ToricAction.make(unit_square(), mat([[1], [0], [0]]))
+    with pytest.raises(UnboundedPolytope):
+        ToricAction.make(HPolytope.from_rows([[-1, 0], [0, -1]], [0, 0]), mat([[1], [0]]))
+    empty = HPolytope.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -1, 1, 0])
+    with pytest.raises(EmptyPolytope):
+        ToricAction.make(empty, mat([[1], [0]]))
 
 
 PAPER_ZERO = {(0, 0), (0, 3), (1, 3), (4, 0), (1, 0), (3, 0), (1, 2)}
