@@ -34,7 +34,6 @@ from .cover import (  # noqa: F401
     validate,
 )
 from .stratifier import (  # noqa: F401
-    DField,
     Stratification,
     Stratum,
     compute_d_field,

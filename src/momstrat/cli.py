@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cover import PiecewiseAffineCover, validate
+from .cover import PiecewiseAffineCover
 from .dh import density_polynomial, fiber_volume, mc_fiber_volume
 from .errors import (
     DimensionMismatch,
@@ -78,10 +78,8 @@ def _formality_provenance(obj) -> dict[str, str]:
 def cmd_validate_cover(args) -> int:
     raw, obj = _load(args.input)
     if isinstance(obj, ToricAction):
-        from .toric import momentum_cover
-
-        obj = momentum_cover(obj)
-    report = validate(obj)
+        obj = obj.cover
+    report = obj.validation
     _write_out(dumps(validation_report_to_json(report)), args.out)
     return EXIT_OK if report.valid else EXIT_INVALID_COVER
 
@@ -89,7 +87,7 @@ def cmd_validate_cover(args) -> int:
 def cmd_stratify(args) -> int:
     raw, obj = _load(args.input)
     if isinstance(obj, PiecewiseAffineCover):
-        report = validate(obj)
+        report = obj.validation  # kept on the cover: stratify does not validate again
         if not report.valid:
             sys.stderr.write(dumps(validation_report_to_json(report)))
             return EXIT_INVALID_COVER
@@ -131,7 +129,13 @@ def cmd_oracle(args) -> int:
 
     points = []
     if args.point:
-        points.append(vec(frac(t) for t in args.point.split(",")))
+        try:
+            x = vec(frac(t) for t in args.point.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"--point is not a list of exact rationals: {exc}") from exc
+        if len(x) != obj.k:
+            raise ParseError(f"--point needs {obj.k} coordinates, got {len(x)}")
+        points.append(x)
     else:
         s = hamiltonian_stratification(obj)
         import random

@@ -9,12 +9,12 @@ closure of each member inside the support is again a union of members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import Vec, vec
-from .polyhedron import HPolytope, RelOpenCell, _refine_engine, cell_key
+from .polyhedron import HPolytope, RelOpenCell, _refine_engine
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,16 @@ class PiecewiseAffineCover:
         if any(m.ambient_dim != n for m in members):
             raise DimensionMismatch("cover members live in different ambient spaces")
         return PiecewiseAffineCover(tuple(members), n, tuple(support_closure))
+
+    @cached_property
+    def pieces(self) -> tuple[RelOpenCell, ...]:
+        """``refined_cells`` of this cover, computed on first use."""
+        return refined_cells(self)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate`` of this cover, computed on first use."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,6 @@ class ValidationReport:
         return [r.member_index for r in self.member_reports if not r.closure_covered]
 
 
-@lru_cache(maxsize=None)
 def refined_cells(c: PiecewiseAffineCover) -> tuple[RelOpenCell, ...]:
     """The canonical partition of the support underlying every refinement use.
 
@@ -64,7 +73,6 @@ def refined_cells(c: PiecewiseAffineCover) -> tuple[RelOpenCell, ...]:
     return tuple(_refine_engine(c.members, c.members))
 
 
-@lru_cache(maxsize=None)
 def validate(c: PiecewiseAffineCover) -> ValidationReport:
     """Check the closure condition for every member; never raises.
 
@@ -72,7 +80,7 @@ def validate(c: PiecewiseAffineCover) -> ValidationReport:
     union of members iff every refined piece inside Cl(P) lies in some member
     that is itself contained in Cl(P).
     """
-    pieces = refined_cells(c)
+    pieces = c.pieces
     reports = []
     valid = True
     for i, p in enumerate(c.members):
@@ -106,8 +114,4 @@ def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
 
 def support_sample_points(c: PiecewiseAffineCover) -> list[Vec]:
     """One interior rational point per refined piece (covers the support)."""
-    return [piece.sample_point() for piece in refined_cells(c)]
-
-
-def member_sort_key(m: RelOpenCell):
-    return cell_key(m)
+    return [piece.sample_point() for piece in c.pieces]

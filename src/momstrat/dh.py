@@ -32,8 +32,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DegenerateFiber,
     EmptyFiber,
@@ -53,7 +51,7 @@ from .linalg import (
     sub,
     vec,
 )
-from .polyhedron import Functional, enumerate_vertices
+from .polyhedron import Functional, enumerate_vertices, tight_sets
 from .stratifier import Stratification
 from .toric import ToricAction
 
@@ -164,9 +162,9 @@ def polytope_volume(rows: list[Functional], verts: list[Vec], d: int) -> Fractio
     hull = AffineSubspace.from_points(verts)
     if hull.dim < d:
         return ZERO
-    tight = {frozenset(i for i, v in enumerate(verts) if dot(a, v) == beta) for a, beta in rows}
+    tight = list(set(tight_sets(rows, verts)))
     total = ZERO
-    for simplex in _incidence_fan(list(tight), frozenset(range(len(verts))), {}):
+    for simplex in _incidence_fan(tight, frozenset(range(len(verts))), {}):
         v0 = verts[simplex[0]]
         total += abs(_det([sub(verts[i], v0) for i in simplex[1:]]))
     factorial = 1
@@ -292,6 +290,8 @@ def mc_fiber_volume(a: ToricAction, x, trials: int, seed: int) -> MCVolume:
     Samples uniformly in the bounding box of the fiber in kernel-lattice
     coordinates; reproducible for a fixed seed.
     """
+    import numpy as np  # only the oracle needs it; kept out of ``import momstrat``
+
     point = vec(x)
     rows, _, _ = _fiber_rows(a, point)
     d = a.n - a.k

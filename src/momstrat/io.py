@@ -15,7 +15,7 @@ from . import __version__
 from .cover import PiecewiseAffineCover, ValidationReport
 from .dh import DensityPoly
 from .errors import MomstratError, ParseError
-from .linalg import AffineSubspace, Mat, Vec, frac, mat, vec
+from .linalg import AffineSubspace, Mat, Vec, frac, mat
 from .polyhedron import HPolytope, RelOpenCell, cell_from_closure_points, hpolytope_from_points
 from .stratifier import Stratification, Stratum
 from .toric import ToricAction
@@ -35,8 +35,31 @@ def _mat2j(m: Mat) -> list[list[str]]:
     return [_vec2j(row) for row in m]
 
 
+def _int(x) -> int:
+    """A JSON integer; booleans and floats are refused, never converted."""
+    if type(x) is not int:
+        raise ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _rat(x) -> Fraction:
+    """An exact rational: a JSON integer or a "p/q" string."""
+    if not isinstance(x, str):
+        return Fraction(_int(x))
+    try:
+        return frac(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not an exact rational: {x!r}") from exc
+
+
+def _nonempty(items, what: str):
+    if not items:
+        raise ParseError(f"{what} must not be empty")
+    return items
+
+
 def _j2vec(data) -> Vec:
-    return vec(frac(x) if isinstance(x, str) else x for x in data)
+    return tuple(_rat(x) for x in data)
 
 
 def _j2mat(data) -> Mat:
@@ -53,16 +76,16 @@ def input_hash(raw: bytes) -> str:
 
 def parse_toric_spec(data: dict) -> ToricAction:
     try:
-        n = int(data["ambient_dim"])
+        n = _int(data["ambient_dim"])
         rows = []
         offsets = []
-        for ineq in data["inequalities"]:
-            normal = [int(c) for c in ineq["normal"]]
+        for ineq in _nonempty(data["inequalities"], "inequalities"):
+            normal = [_int(c) for c in ineq["normal"]]
             if len(normal) != n:
                 raise ParseError("inequality normal has wrong dimension")
             rows.append(normal)
-            offsets.append(frac(ineq["offset"]) if isinstance(ineq["offset"], str) else Fraction(ineq["offset"]))
-        b = [[int(c) for c in row] for row in data["subtorus_matrix"]]
+            offsets.append(_rat(ineq["offset"]))
+        b = [[_int(c) for c in row] for row in data["subtorus_matrix"]]
         name = data.get("name", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed toric spec: {exc}") from exc
@@ -73,18 +96,6 @@ def parse_toric_spec(data: dict) -> ToricAction:
         raise ParseError(f"invalid toric spec: {exc}") from exc
 
 
-def toric_spec_to_json(a: ToricAction) -> dict:
-    return {
-        "name": a.name,
-        "ambient_dim": a.n,
-        "inequalities": [
-            {"normal": [int(c) for c in row], "offset": _f2s(beta)}
-            for row, beta in zip(a.polytope.A, a.polytope.b)
-        ],
-        "subtorus_matrix": [[int(c) for c in row] for row in a.B],
-    }
-
-
 # ---------------------------------------------------------------------------
 # cover files
 
@@ -92,35 +103,21 @@ def toric_spec_to_json(a: ToricAction) -> dict:
 def parse_cover(data: dict) -> PiecewiseAffineCover:
     try:
         members = [
-            cell_from_closure_points([_j2vec(p) for p in m["closure_vertices"]])
+            cell_from_closure_points(
+                [_j2vec(p) for p in _nonempty(m["closure_vertices"], "closure_vertices")]
+            )
             for m in data["members"]
         ]
         support = tuple(
-            hpolytope_from_points([_j2vec(p) for p in poly["vertices"]])
+            hpolytope_from_points([_j2vec(p) for p in _nonempty(poly["vertices"], "vertices")])
             for poly in data.get("support_closure", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MomstratError) as exc:
         raise ParseError(f"malformed cover file: {exc}") from exc
     try:
         return PiecewiseAffineCover.make(members, support)
     except MomstratError as exc:
         raise ParseError(f"invalid cover: {exc}") from exc
-
-
-def cover_to_json(c: PiecewiseAffineCover) -> dict:
-    return {
-        "ambient_dim": c.ambient_dim,
-        "members": [{"closure_vertices": _mat2j(m.closure_vertices)} for m in c.members],
-        "support_closure": [
-            {"vertices": _mat2j(mat(sorted(set(_poly_vertex_set(p)))))} for p in c.support_closure
-        ],
-    }
-
-
-def _poly_vertex_set(p: HPolytope):
-    from .polyhedron import vertices
-
-    return [tuple(v) for v in vertices(p)]
 
 
 def parse_input_file(raw: bytes):
@@ -179,7 +176,7 @@ def _subspace2j(s: AffineSubspace) -> dict:
 
 
 def _j2subspace(data) -> AffineSubspace:
-    return AffineSubspace(_j2vec(data["base"]), _j2mat(data["directions"]), int(data["ambient_dim"]))
+    return AffineSubspace(_j2vec(data["base"]), _j2mat(data["directions"]), _int(data["ambient_dim"]))
 
 
 def _cell2j(c: RelOpenCell) -> dict:
@@ -196,8 +193,8 @@ def _j2cell(data) -> RelOpenCell:
         _j2subspace(data["carrier"]),
         _j2mat(data["inequalities"]["A"]),
         _j2vec(data["inequalities"]["b"]),
-        tuple(tuple(int(i) for i in f) for f in data["excluded_faces"]),
-        _j2mat(data["closure_vertices"]),
+        tuple(tuple(_int(i) for i in f) for f in data["excluded_faces"]),
+        _j2mat(_nonempty(data["closure_vertices"], "closure_vertices")),
     )
 
 
@@ -213,12 +210,12 @@ def _density2j(poly: DensityPoly) -> dict:
 
 def _j2density(data) -> DensityPoly:
     return DensityPoly(
-        int(data["stratum_id"]),
+        _int(data["stratum_id"]),
         tuple(
-            (tuple(int(i) for i in item["exponents"]), frac(item["value"]))
+            (tuple(_int(i) for i in item["exponents"]), _rat(item["value"]))
             for item in data["coefficients"]
         ),
-        int(data["degree"]),
+        _int(data["degree"]),
     )
 
 
@@ -254,22 +251,22 @@ def parse_document(raw: bytes) -> StratificationDocument:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    if data.get("schema") != SCHEMA_STRATIFICATION:
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA_STRATIFICATION:
         raise ParseError("unknown or missing stratification schema")
     try:
         strata = []
         densities = {}
-        for entry in data["strata"]:
+        for entry in _nonempty(data["strata"], "strata"):
             integer_direction = None
             if "integer_direction" in entry:
                 integer_direction = _j2mat(entry["integer_direction"])
             st = Stratum(
-                int(entry["id"]),
+                _int(entry["id"]),
                 _j2mat(entry["direction"]),
                 _j2subspace(entry["carrier"]),
-                tuple(_j2cell(c) for c in entry["cells"]),
-                int(entry["dim"]),
-                tuple(tuple(int(i) for i in e) for e in entry["adjacency"]),
+                tuple(_j2cell(c) for c in _nonempty(entry["cells"], "cells")),
+                _int(entry["dim"]),
+                tuple(tuple(_int(i) for i in e) for e in entry["adjacency"]),
                 integer_direction,
             )
             strata.append(st)
@@ -277,8 +274,8 @@ def parse_document(raw: bytes) -> StratificationDocument:
                 densities[st.id] = _j2density(entry["density"])
         s = Stratification(
             tuple(strata),
-            tuple(tuple(int(i) for i in p) for p in data["frontier"]),
-            int(data["ambient_dim"]),
+            tuple(tuple(_int(i) for i in p) for p in data["frontier"]),
+            _int(data["ambient_dim"]),
         )
         prov = tuple(sorted((str(k), str(v)) for k, v in data["provenance"].items()))
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,7 +9,13 @@ A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
 carrier-local coordinates, and the excluded proper faces (the facets).  Cells
 are constructed canonically from the vertex set of their closure, so equal
-cells have bit-identical encodings.
+cells have bit-identical encodings.  The faces of a cell's closure are cells
+too, built the same way; the refinement and frontier tests read one as a
+closed set through an explicit ``closed`` flag.
+
+There are no module-level caches.  Derived data is memoized on the immutable
+object it describes (``cached_property``), so it lives exactly as long as
+that object: a polytope's face lattice, a cell's ambient rows and bounding box.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
@@ -83,6 +89,11 @@ class HPolytope:
     def contains(self, x: Vec) -> bool:
         return all(dot(row, x) <= bi for row, bi in zip(self.A, self.b))
 
+    @cached_property
+    def lattice(self) -> "FaceLattice":
+        """The face lattice, computed on first use (raises like ``vertices``)."""
+        return face_lattice(self)
+
 
 def _fm_feasible(rows: list[Functional], nvars: int) -> bool:
     """Fourier-Motzkin feasibility of a system of rows a.x <= beta."""
@@ -111,10 +122,6 @@ def is_bounded(p: HPolytope) -> bool:
             if _fm_feasible(rows, n):
                 return False
     return True
-
-
-def is_empty(p: HPolytope) -> bool:
-    return not _fm_feasible(list(zip(p.A, p.b)), p.ambient_dim)
 
 
 def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
@@ -182,16 +189,9 @@ def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Fu
     return tuple(a_amb), b_loc + shift
 
 
-@lru_cache(maxsize=200000)
-def _restrict_cached(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Functional:
-    a_loc = tuple(dot(a, row) for row in carrier.directions)
-    b_loc = beta - dot(a, carrier.base)
-    return a_loc, b_loc
-
-
 def _restrict_functional(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Functional:
     """Carrier-local form of the ambient functional a.x <= beta."""
-    return _restrict_cached(carrier, a, beta)
+    return tuple(dot(a, row) for row in carrier.directions), beta - dot(a, carrier.base)
 
 
 def hpolytope_from_points(points: Sequence[Vec]) -> HPolytope:
@@ -226,7 +226,6 @@ class Face:
 @dataclass(frozen=True)
 class FaceLattice:
     faces: tuple[Face, ...]
-    covers: tuple[tuple[int, int], ...]  # (lower index, upper index), dim gap one
     vertex_list: Mat
 
     def by_dim(self, d: int) -> list[Face]:
@@ -236,49 +235,47 @@ class FaceLattice:
         return [f for f in self.faces if f.dim >= 0]
 
 
-@lru_cache(maxsize=None)
-def face_lattice(p: HPolytope) -> FaceLattice:
-    """Complete graded face lattice from the empty face to the polytope.
+def tight_sets(rows: Iterable[Functional], points: Sequence[Vec]) -> list[frozenset[int]]:
+    """For each row a.x <= beta, the indices of the points at which it is tight."""
+    return [frozenset(i for i, p in enumerate(points) if dot(a, p) == beta) for a, beta in rows]
 
-    Faces are generated by closing the facet vertex sets under intersection
-    (vertex-facet incidence), which stays correct for redundant H-rows.
-    """
-    verts = vertices(p)
-    all_ids = frozenset(range(len(verts)))
-    tight_sets = []
-    for row, beta in zip(p.A, p.b):
-        s = frozenset(i for i, v in enumerate(verts) if dot(row, v) == beta)
-        if s and s != all_ids:
-            tight_sets.append(s)
-    closure: set[frozenset[int]] = {all_ids}
-    frontier = {all_ids}
+
+def _faces_by_incidence(tight: Sequence[frozenset[int]], count: int) -> set[frozenset[int]]:
+    """Vertex-index sets of all nonempty faces of conv(points): the full set
+    closed under intersection with the row tight sets (every facet among the
+    rows; redundant and repeated rows are harmless)."""
+    full = frozenset(range(count))
+    closure, frontier = {full}, {full}
     while frontier:
         nxt = set()
         for s in frontier:
-            for t in tight_sets:
+            for t in tight:
                 c = s & t
                 if c and c not in closure:
                     nxt.add(c)
         closure |= nxt
         frontier = nxt
+    return closure
+
+
+def face_lattice(p: HPolytope) -> FaceLattice:
+    """Complete graded face lattice from the empty face to the polytope.
+
+    Faces are generated by closing the facet vertex sets under intersection
+    (vertex-facet incidence), which stays correct for redundant H-rows.
+    ``HPolytope.lattice`` memoizes the result on the polytope.
+    """
+    verts = vertices(p)
+    tight = tight_sets(zip(p.A, p.b), verts)
     faces = []
-    for s in closure:
+    for s in _faces_by_incidence(tight, len(verts)):
         coords = mat(verts[i] for i in sorted(s))
         hull = AffineSubspace.from_points(list(coords))
-        active = tuple(
-            i
-            for i, (row, beta) in enumerate(zip(p.A, p.b))
-            if all(dot(row, c) == beta for c in coords)
-        )
+        active = tuple(i for i, t in enumerate(tight) if s <= t)
         faces.append(Face(active, hull, hull.dim, tuple(sorted(s)), coords))
     faces.append(Face(tuple(range(len(p.A))), None, -1, (), ()))
     faces.sort(key=lambda f: (f.dim, f.active_set, f.vertex_ids))
-    covers = []
-    for i, lo in enumerate(faces):
-        for j, hi in enumerate(faces):
-            if hi.dim == lo.dim + 1 and set(lo.vertex_ids) <= set(hi.vertex_ids):
-                covers.append((i, j))
-    return FaceLattice(tuple(faces), tuple(covers), mat(verts))
+    return FaceLattice(tuple(faces), mat(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +322,15 @@ class RelOpenCell:
     def bbox(self) -> tuple[Vec, Vec]:
         return _bbox(self.closure_vertices)
 
-    def ambient_equations(self) -> list[Functional]:
-        return self._ambient_equations
+    @cached_property
+    def ambient_equations(self) -> tuple[Functional, ...]:
+        """Canonical ambient equations of the carrier."""
+        return tuple(_canon_row(e) for e in self.carrier.equations())
 
     @cached_property
-    def _ambient_equations(self) -> list[Functional]:
-        return [_canon_row(e) for e in self.carrier.equations()]
-
-    def ambient_facet_rows(self) -> list[Functional]:
-        return self._ambient_facet_rows
-
-    @cached_property
-    def _ambient_facet_rows(self) -> list[Functional]:
-        return [_canon_row(_lift_functional(self.carrier, a, b)) for a, b in self.local_rows()]
+    def ambient_facet_rows(self) -> tuple[Functional, ...]:
+        """The facet rows lifted to ambient coordinates (exact on the carrier)."""
+        return tuple(_canon_row(_lift_functional(self.carrier, a, b)) for a, b in self.local_rows())
 
     def _bbox_contains(self, x: Vec) -> bool:
         lo, hi = self.bbox
@@ -383,13 +376,14 @@ class RelOpenCell:
         return pts
 
 
-def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
-    """Canonical cell whose closure is conv(points)."""
-    pts = sorted(set(tuple(p) for p in points))
-    carrier = AffineSubspace.from_points(pts)
+def _canonical_cell(
+    pts: list[Vec], carrier: AffineSubspace, local: list[Vec], rows: Iterable[Functional]
+) -> RelOpenCell:
+    """The cell over the sorted distinct closure points ``pts`` (``local`` in
+    carrier coordinates) given its facet rows: rows sorted, and the points at
+    which d independent rows are tight kept as the closure vertices."""
     d = carrier.dim
-    local = [carrier.to_local(p) for p in pts]
-    rows = facets_from_points(local, d)
+    rows = sorted(rows)
     if d == 0:
         verts = pts
     else:
@@ -402,6 +396,14 @@ def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
     b = vec(r[1] for r in rows)
     excluded = tuple((i,) for i in range(len(rows)))
     return RelOpenCell(carrier, a, b, excluded, mat(sorted(verts)))
+
+
+def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
+    """Canonical cell whose closure is conv(points)."""
+    pts = sorted(set(tuple(p) for p in points))
+    carrier = AffineSubspace.from_points(pts)
+    local = [carrier.to_local(p) for p in pts]
+    return _canonical_cell(pts, carrier, local, facets_from_points(local, carrier.dim))
 
 
 def cell_key(c: RelOpenCell):
@@ -432,9 +434,9 @@ def _cell_from_split(points: list[Vec], candidates: list[Functional]) -> RelOpen
     pts = sorted(set(tuple(p) for p in points))
     carrier = AffineSubspace.from_points(pts)
     d = carrier.dim
-    if d == 0:
-        return RelOpenCell(carrier, (), (), (), mat(pts))
     local_pts = [carrier.to_local(p) for p in pts]
+    if d == 0:
+        return _canonical_cell(pts, carrier, local_pts, ())
     rows: set[Functional] = set()
     for a, beta in candidates:
         a_loc, b_loc = _restrict_functional(carrier, a, beta)
@@ -455,16 +457,7 @@ def _cell_from_split(points: list[Vec], candidates: list[Functional]) -> RelOpen
         diffs = mat(sub(t, tight[0]) for t in tight[1:])
         if rank(diffs) == d - 1:
             rows.add(row)
-    sorted_rows = sorted(rows)
-    verts = []
-    for p, t in zip(pts, local_pts):
-        active = mat(a for a, b in sorted_rows if dot(a, t) == b)
-        if active and rank(active) == d:
-            verts.append(p)
-    a = mat(r[0] for r in sorted_rows)
-    b = vec(r[1] for r in sorted_rows)
-    excluded = tuple((i,) for i in range(len(sorted_rows)))
-    return RelOpenCell(carrier, a, b, excluded, mat(sorted(verts)))
+    return _canonical_cell(pts, carrier, local_pts, rows)
 
 
 def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
@@ -501,7 +494,7 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
             crossings.append(add(u, scale(sub(w, u), lam)))
     to_amb = cell.carrier.from_local
     cut_row = _canon_cut(cut)
-    candidates = cell.ambient_facet_rows() + [cut_row, (tuple(-c for c in cut_row[0]), -cut_row[1])]
+    candidates = [*cell.ambient_facet_rows, cut_row, (tuple(-c for c in cut_row[0]), -cut_row[1])]
     lo = [to_amb(p) for p, v in zip(local_pts, vals) if v <= 0] + [to_amb(t) for t in crossings]
     hi = [to_amb(p) for p, v in zip(local_pts, vals) if v >= 0] + [to_amb(t) for t in crossings]
     mid = [to_amb(p) for p, v in zip(local_pts, vals) if v == 0] + [to_amb(t) for t in crossings]
@@ -520,62 +513,26 @@ def _split_pieces(pieces: list[RelOpenCell], cut: Functional) -> list[RelOpenCel
 
 
 # ---------------------------------------------------------------------------
-# closure faces of a cell (as closed, vertex-described polytopes)
+# closure faces of a cell
 
 
-@dataclass(frozen=True)
-class ClosedFace:
-    """A face of some cell's closure, kept as its vertex set plus hull."""
-
-    points: Mat
-    hull: AffineSubspace
-
-    @cached_property
-    def rows(self) -> tuple[Functional, ...]:
-        local = [self.hull.to_local(p) for p in self.points]
-        return tuple(facets_from_points(local, self.hull.dim))
-
-    @cached_property
-    def bbox(self) -> tuple[Vec, Vec]:
-        return _bbox(self.points)
-
-    def contains(self, x: Vec) -> bool:
-        if not self.hull.contains(x):
-            return False
-        t = self.hull.to_local(x)
-        return all(dot(a, t) <= b for a, b in self.rows)
-
-
-def closure_faces(cell: RelOpenCell) -> list[ClosedFace]:
-    """All nonempty faces of the cell's closure, the closure itself included."""
-    local_pts = list(cell.local_vertices)
-    rows = cell.local_rows()
-    all_ids = frozenset(range(len(local_pts)))
-    tight = []
-    for a, b in rows:
-        s = frozenset(i for i, t in enumerate(local_pts) if dot(a, t) == b)
-        if s and s != all_ids:
-            tight.append(s)
-    closure: set[frozenset[int]] = {all_ids}
-    frontier = {all_ids}
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for t in tight:
-                c = s & t
-                if c and c not in closure:
-                    nxt.add(c)
-        closure |= nxt
-        frontier = nxt
-    out = []
-    for s in sorted(closure, key=sorted):
-        pts = mat(cell.closure_vertices[i] for i in sorted(s))
-        out.append(ClosedFace(pts, AffineSubspace.from_points(list(pts))))
-    return out
+def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
+    """Every nonempty face of the closure of some given cell, the closures
+    themselves included, each as the canonical cell that is its relative
+    interior.  A face shared by several closures is built once."""
+    faces: set[tuple[Vec, ...]] = set()
+    for cell in cells:
+        tight = tight_sets(cell.local_rows(), cell.local_vertices)
+        for s in _faces_by_incidence(tight, len(cell.closure_vertices)):
+            faces.add(tuple(cell.closure_vertices[i] for i in sorted(s)))
+    return [cell_from_closure_points(points) for points in sorted(faces)]
 
 
 # ---------------------------------------------------------------------------
 # constancy tests used by the refinement fixpoint
+#
+# An object of the refinement is a cell read either as the relatively open
+# set it is (closed=False) or as its closure (closed=True).
 
 
 def _bbox(points: Mat) -> tuple[Vec, Vec]:
@@ -588,55 +545,39 @@ def _bbox_disjoint(b1, b2) -> bool:
     return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
 
 
-@lru_cache(maxsize=None)
-def _closed_system_rows(obj) -> tuple[list[Functional], list[Functional]]:
-    """(equality rows, inequality rows) of the closure of a cell or face."""
-    if isinstance(obj, RelOpenCell):
-        return obj.ambient_equations(), obj.ambient_facet_rows()
-    eqs = [_canon_row(e) for e in obj.hull.equations()]
-    rows = [_canon_row(_lift_functional(obj.hull, a, b)) for a, b in obj.rows]
-    return eqs, rows
-
-
-def _object_points(obj) -> Mat:
-    return obj.closure_vertices if isinstance(obj, RelOpenCell) else obj.points
-
-
-def _closures_separated(x: RelOpenCell, obj) -> bool:
+def _closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
     """Cheap sufficient test for x ∩ Cl(obj) = ∅ (x relatively open).
 
     Points of x are strictly positive mixes of its closure vertices and lie
     strictly inside every facet of x, so one-sided weak separations with one
     strict vertex already rule out the intersection.
     """
-    eqs, ineqs = _closed_system_rows(obj)
     xverts = x.closure_vertices
-    for a, b in ineqs:
+    for a, b in obj.ambient_facet_rows:
         vals = [dot(a, v) - b for v in xverts]
         if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
             return True
-    for a, b in eqs:
+    for a, b in obj.ambient_equations:
         vals = [dot(a, v) - b for v in xverts]
         if (all(v >= 0 for v in vals) and any(v > 0 for v in vals)) or (
             all(v <= 0 for v in vals) and any(v < 0 for v in vals)
         ):
             return True
-    pts = _object_points(obj)
-    for a, b in x.ambient_facet_rows():
+    pts = obj.closure_vertices
+    for a, b in x.ambient_facet_rows:
         if all(dot(a, p) >= b for p in pts):
             return True
-    for a, b in x.ambient_equations():
+    for a, b in x.ambient_equations:
         vals = [dot(a, p) - b for p in pts]
         if all(v > 0 for v in vals) or all(v < 0 for v in vals):
             return True
     return False
 
 
-def _closure_intersection_vertices(x: RelOpenCell, obj) -> list[Vec]:
+def _closure_intersection_vertices(x: RelOpenCell, obj: RelOpenCell) -> list[Vec]:
     """Vertices of Cl(x) ∩ Cl(obj), in x-local coordinates ([] when empty)."""
-    eqs, ineqs = _closed_system_rows(obj)
     rows: list[Functional] = x.local_rows()
-    for a, b in eqs:
+    for a, b in obj.ambient_equations:
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         if all(c == 0 for c in a_loc):
             if b_loc != 0:
@@ -644,7 +585,7 @@ def _closure_intersection_vertices(x: RelOpenCell, obj) -> list[Vec]:
             continue
         rows.append((a_loc, b_loc))
         rows.append((tuple(-c for c in a_loc), -b_loc))
-    for a, b in ineqs:
+    for a, b in obj.ambient_facet_rows:
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         if all(c == 0 for c in a_loc):
             if b_loc < 0:
@@ -654,59 +595,55 @@ def _closure_intersection_vertices(x: RelOpenCell, obj) -> list[Vec]:
     return enumerate_vertices(rows, x.dim)
 
 
-def _meets_relopen(x: RelOpenCell, obj, q_local: list[Vec]) -> bool:
-    """Given the vertices of Q = Cl(x) ∩ Cl(obj), decide whether x ∩ obj != ∅.
+def _meets_relopen(x: RelOpenCell, obj: RelOpenCell, q_local: list[Vec], closed: bool) -> bool:
+    """Given the vertices of Q = Cl(x) ∩ Cl(obj), decide whether x meets obj
+    (read as closed or open).
 
     Q minus finitely many hyperplanes is nonempty exactly when the convex Q
     is contained in none of them.
     """
     if not q_local:
         return False
-    strict: list[Functional] = list(x.local_rows())
-    if isinstance(obj, RelOpenCell):
-        for a, b in obj.ambient_facet_rows():
+    strict: list[Functional] = x.local_rows()
+    if not closed:
+        for a, b in obj.ambient_facet_rows:
             a_loc, b_loc = _restrict_functional(x.carrier, a, b)
             if any(c != 0 for c in a_loc):
                 strict.append((a_loc, b_loc))
     return all(any(dot(a, q) != b for q in q_local) for a, b in strict)
 
 
-def _membership_constant(x: RelOpenCell, obj) -> bool:
-    """Is membership in obj (relopen cell or closed face) constant on x?"""
+def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
+    """Is membership in obj (read as closed or open) constant on x?"""
     if _bbox_disjoint(x.bbox, obj.bbox):
         return True
-    if isinstance(obj, RelOpenCell):
-        if all(obj.closure_contains(v) for v in x.closure_vertices):
-            # inside the closure: x is either inside a facet (constant false)
-            # or strictly inside every facet (constant true)
-            return True
-    else:
-        if all(obj.contains(v) for v in x.closure_vertices):
-            return True
+    if all(obj.closure_contains(v) for v in x.closure_vertices):
+        # inside the closure: constant true for the closed object; for the
+        # open one x is either inside a facet (constant false) or strictly
+        # inside every facet (constant true)
+        return True
     if _closures_separated(x, obj):
         return True
     # mixed situation: non-constant exactly when x still meets obj
-    if obj.contains(x.sample_point()):
+    contains = obj.closure_contains if closed else obj.contains
+    if contains(x.sample_point()):
         return False
     q = _closure_intersection_vertices(x, obj)
-    return not _meets_relopen(x, obj, q)
+    return not _meets_relopen(x, obj, q, closed)
 
 
-def _object_functionals(obj) -> list[Functional]:
+def _object_functionals(obj: RelOpenCell) -> list[Functional]:
     """Cut functionals that make membership in obj sign-determined."""
-    eqs, ineqs = _closed_system_rows(obj)
-    return [_canon_cut(f) for f in eqs + ineqs]
+    return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
 
 
-def _object_sign_table(obj) -> list[tuple[Functional, tuple[int, ...]]]:
+def _object_sign_table(obj: RelOpenCell, closed: bool) -> list[tuple[Functional, tuple[int, ...]]]:
     """(cut, allowed signs) pairs: a piece whose recorded sign for some cut
     falls outside the allowed set cannot meet the object."""
-    eqs, ineqs = _closed_system_rows(obj)
-    closed = not isinstance(obj, RelOpenCell)
     table = []
-    for a, b in eqs:
+    for a, b in obj.ambient_equations:
         table.append((_canon_cut((a, b)), (0,)))
-    for a, b in ineqs:
+    for a, b in obj.ambient_facet_rows:
         cut = _canon_cut((a, b))
         flipped = cut != _canon_row((a, b))
         good = 1 if flipped else -1
@@ -715,25 +652,18 @@ def _object_sign_table(obj) -> list[tuple[Functional, tuple[int, ...]]]:
     return table
 
 
-def _object_key(obj):
-    if isinstance(obj, RelOpenCell):
-        return ("cell", cell_key(obj))
-    return ("face", obj.points)
-
-
 # ---------------------------------------------------------------------------
 # common refinement
 
 
-def _initial_cuts(objects: Sequence) -> set[Functional]:
+def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional]:
     """Codimension-one affine hulls among the members and closure faces."""
     cuts: set[Functional] = set()
-    for obj in objects:
-        hull = obj.carrier if isinstance(obj, RelOpenCell) else obj.hull
-        if hull.dim == hull.ambient_dim - 1:
-            cuts.update(_canon_cut(e) for e in hull.equations())
-        if isinstance(obj, RelOpenCell) and obj.dim == obj.ambient_dim:
-            cuts.update(_canon_cut(r) for r in obj.ambient_facet_rows())
+    for obj, closed in objects:
+        if obj.dim == obj.ambient_dim - 1:
+            cuts.update(_canon_cut(e) for e in obj.carrier.equations())
+        if not closed and obj.dim == obj.ambient_dim:
+            cuts.update(_canon_cut(r) for r in obj.ambient_facet_rows)
     return cuts
 
 
@@ -747,16 +677,10 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
     defining hyperplanes are already cuts is sign-determined and needs no
     geometric test.
     """
-    objects: list = []
-    seen = set()
-    for c in cells:
-        for obj in [c, *closure_faces(c)]:
-            key = _object_key(obj)
-            if key not in seen:
-                seen.add(key)
-                objects.append(obj)
-    obj_funcs = [frozenset(_object_functionals(obj)) for obj in objects]
-    obj_tables = [_object_sign_table(obj) for obj in objects]
+    objects = list(dict.fromkeys((c, False) for c in cells))
+    objects += [(face, True) for face in closure_faces(cells)]
+    obj_funcs = [frozenset(_object_functionals(obj)) for obj, _ in objects]
+    obj_tables = [_object_sign_table(obj, closed) for obj, closed in objects]
     cuts: set[Functional] = _initial_cuts(objects)
     pieces: list[tuple[RelOpenCell, dict[Functional, int]]] = []
     seen_pieces: set = set()
@@ -781,7 +705,7 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
                     split.append((sub_cell, stamped))
             pieces = split
         demands: set[Functional] = set()
-        for obj, funcs, table in zip(objects, obj_funcs, obj_tables):
+        for (obj, closed), funcs, table in zip(objects, obj_funcs, obj_tables):
             if funcs <= cuts:
                 continue  # fully sign-determined: membership constant per piece
             for cell, signs in pieces:
@@ -793,7 +717,7 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
                         break
                 if excluded:
                     continue
-                if not _membership_constant(cell, obj):
+                if not _membership_constant(cell, obj, closed):
                     demands |= funcs
                     break
         new = demands - cuts
@@ -813,8 +737,7 @@ def common_refinement(cells: Sequence[RelOpenCell], within) -> list[RelOpenCell]
     boundary faces included).
     """
     if isinstance(within, HPolytope):
-        lattice = face_lattice(within)
-        regions = [cell_from_closure_points(list(f.vertex_coords)) for f in lattice.nonempty_faces()]
+        regions = [cell_from_closure_points(list(f.vertex_coords)) for f in within.lattice.nonempty_faces()]
     else:
         regions = [within]
     n = regions[0].ambient_dim

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCover, NonIntegrable
-from .cover import PiecewiseAffineCover, membership_signature, refined_cells, validate
+from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
 from .polyhedron import (
-    ClosedFace,
     RelOpenCell,
+    _bbox_disjoint,
     _canon_cut,
     _closure_intersection_vertices,
     _closures_separated,
@@ -27,13 +27,6 @@ from .polyhedron import (
     _split_pieces,
     cell_key,
 )
-
-
-@dataclass(frozen=True)
-class DField:
-    """Refined pieces annotated with their direction spaces."""
-
-    entries: tuple[tuple[RelOpenCell, Mat], ...]
 
 
 @dataclass(frozen=True)
@@ -63,17 +56,18 @@ class Stratification:
     ambient_dim: int
 
 
-def compute_d_field(c: PiecewiseAffineCover) -> DField:
-    """Refine the support and intersect member directions along signatures."""
-    if not validate(c).valid:
+def compute_d_field(c: PiecewiseAffineCover) -> tuple[tuple[RelOpenCell, Mat], ...]:
+    """Refine the support and intersect member directions along signatures:
+    (piece, direction space) pairs sorted by piece."""
+    if not c.validation.valid:
         raise InvalidCover("cover fails the closure condition")
     entries = []
-    for piece in refined_cells(c):
+    for piece in c.pieces:
         sig = membership_signature(c, piece.sample_point())
         direction = direction_intersect([c.members[i].carrier for i in sig])
         entries.append((piece, direction))
     entries.sort(key=lambda e: cell_key(e[0]))
-    return DField(tuple(entries))
+    return tuple(entries)
 
 
 def _translate_through(piece: RelOpenCell, direction: Mat) -> AffineSubspace:
@@ -82,9 +76,8 @@ def _translate_through(piece: RelOpenCell, direction: Mat) -> AffineSubspace:
 
 def stratify(c: PiecewiseAffineCover) -> Stratification:
     """The unique stratification of the support induced by the cover."""
-    dfield = compute_d_field(c)
     groups: dict[AffineSubspace, list[tuple[RelOpenCell, Mat]]] = {}
-    for piece, direction in dfield.entries:
+    for piece, direction in compute_d_field(c):
         translate = _translate_through(piece, direction)
         if not all(translate.contains(v) for v in piece.closure_vertices):
             raise NonIntegrable(
@@ -187,35 +180,16 @@ class FrontierReport:
         return not self.violations
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _closed_face_of(cell: RelOpenCell) -> ClosedFace:
-    face = ClosedFace(cell.closure_vertices, cell.carrier)
-    # the cell already carries its canonical facet rows; seed the caches so
-    # closure tests never re-enumerate hyperplanes
-    face.__dict__["rows"] = tuple(cell.local_rows())
-    face.__dict__["bbox"] = cell.bbox
-    return face
-
-
-def _bbox_disjoint(b1, b2) -> bool:
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
 def _cell_meets_closure(sigma: RelOpenCell, t: RelOpenCell) -> bool:
     """Exact test: does the relopen sigma meet the closed Cl(t)?"""
     if _bbox_disjoint(sigma.bbox, t.bbox):
         return False
     if t.closure_contains(sigma.sample_point()):
         return True
-    obj = _closed_face_of(t)
-    if _closures_separated(sigma, obj):
+    if _closures_separated(sigma, t):
         return False
-    q = _closure_intersection_vertices(sigma, obj)
-    return _meets_relopen(sigma, obj, q)
+    q = _closure_intersection_vertices(sigma, t)
+    return _meets_relopen(sigma, t, q, closed=True)
 
 
 def _stratum_bbox(st: Stratum):
@@ -229,8 +203,7 @@ def _cell_subset_of_closure_union(sigma: RelOpenCell, stratum: Stratum) -> tuple
     relevant = [t for t in stratum.cells if not _bbox_disjoint(sigma.bbox, t.bbox)]
     cuts = set()
     for t in relevant:
-        cuts.update(_canon_cut(f) for f in t.ambient_equations())
-        cuts.update(_canon_cut(f) for f in t.ambient_facet_rows())
+        cuts.update(_canon_cut(f) for f in t.ambient_equations + t.ambient_facet_rows)
     pieces = [sigma]
     for cut in sorted(cuts):
         pieces = _split_pieces(pieces, cut)
@@ -265,20 +238,14 @@ def verify_frontier(s: Stratification) -> FrontierReport:
             # per-cell containment scan settles almost every pair cheaply
             if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
                 continue
-            ok, witness = _cell_subset_wrapper(lo, up)
-            if not ok:
-                violations.append(
-                    FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
-                )
+            for sigma in lo.cells:
+                ok, witness = _cell_subset_of_closure_union(sigma, up)
+                if not ok:
+                    violations.append(
+                        FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
+                    )
+                    break
     return FrontierReport(tuple(violations))
-
-
-def _cell_subset_wrapper(lo: Stratum, up: Stratum) -> tuple[bool, Vec | None]:
-    for sigma in lo.cells:
-        ok, witness = _cell_subset_of_closure_union(sigma, up)
-        if not ok:
-            return False, witness
-    return True, None
 
 
 @dataclass(frozen=True)

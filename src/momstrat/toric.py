@@ -10,7 +10,8 @@ projection of an open face, so the whole cover machinery applies verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
+
 from .cover import PiecewiseAffineCover
 from .errors import (
     NonEffectiveAction,
@@ -35,7 +36,6 @@ from .polyhedron import (
     HPolytope,
     RelOpenCell,
     cell_key,
-    face_lattice,
     hpolytope_from_points,
     project_relint,
 )
@@ -61,7 +61,7 @@ class ToricAction:
         k = len(b[0]) if b else 0
         if rank(b) != k:
             raise RankDeficient("subtorus matrix must have full column rank")
-        face_lattice(polytope)  # raises UnboundedPolytope / EmptyPolytope
+        polytope.lattice  # raises UnboundedPolytope / EmptyPolytope
         return ToricAction(polytope, b, name)
 
     @property
@@ -77,6 +77,22 @@ class ToricAction:
         """The induced map on duals t_n^* -> t_k^*: the transpose of B."""
         return transpose(self.B)
 
+    @cached_property
+    def face_images(self) -> tuple[tuple[Face, RelOpenCell], ...]:
+        """``face_image_cells`` of this action, computed on first use."""
+        return face_image_cells(self)
+
+    @cached_property
+    def face_isotropy(self) -> dict[Face, "IsotropyData"]:
+        """``isotropy_for_face`` of every nonempty face, computed on first use."""
+        return {f: isotropy_for_face(self, f) for f, _ in self.face_images}
+
+    @cached_property
+    def cover(self) -> PiecewiseAffineCover:
+        """``momentum_cover`` of this action, computed on first use; it keeps
+        its own refinement and validation."""
+        return momentum_cover(self)
+
     def is_effective(self) -> bool:
         """The subtorus embeds iff the Smith form of B has all divisors one."""
         inv = smith_invariants(self.B)
@@ -87,8 +103,7 @@ class ToricAction:
         form a Z^n basis (the smoothness criterion for toric manifolds)."""
         from .linalg import primitive_functional
 
-        lattice = face_lattice(self.polytope)
-        for f in lattice.by_dim(0):
+        for f in self.polytope.lattice.by_dim(0):
             prim = sorted(
                 {primitive_functional(self.polytope.A[i], self.polytope.b[i])[0] for i in f.active_set}
             )
@@ -135,7 +150,6 @@ class IsotropyData:
         return len(self.isotropy_basis)
 
 
-@lru_cache(maxsize=None)
 def isotropy_for_face(a: ToricAction, f: Face) -> IsotropyData:
     normals = mat(a.polytope.A[i] for i in f.active_set)
     k = a.k
@@ -150,17 +164,15 @@ def isotropy_for_face(a: ToricAction, f: Face) -> IsotropyData:
     return IsotropyData(f.active_set, f.dim, iso, ann)
 
 
-@lru_cache(maxsize=None)
 def face_image_cells(a: ToricAction) -> tuple[tuple[Face, RelOpenCell], ...]:
     """Every nonempty face paired with the projection of its relative interior."""
-    lattice = face_lattice(a.polytope)
     b_t = a.projection
-    return tuple((f, project_relint(f, b_t)) for f in lattice.nonempty_faces())
+    return tuple((f, project_relint(f, b_t)) for f in a.polytope.lattice.nonempty_faces())
 
 
 def momentum_cover(a: ToricAction) -> PiecewiseAffineCover:
     """Cover of the momentum image by projected open faces, deduplicated."""
-    pairs = face_image_cells(a)
+    pairs = a.face_images
     dedup = {cell_key(cell): cell for _, cell in pairs}
     members = [dedup[key] for key in sorted(dedup)]
     pts = [v for _, cell in pairs for v in cell.closure_vertices]
@@ -174,7 +186,7 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
     Every stratum direction is a rational subspace of (R^k, Z^k), so the
     integer basis always exists; it witnesses the integral affine structure.
     """
-    s = stratify(momentum_cover(a))
+    s = stratify(a.cover)
     strata = tuple(
         replace(st, integer_direction=integer_row_basis(st.direction)) for st in s.strata
     )
@@ -182,7 +194,7 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
 
 
 def faces_through(a: ToricAction, x: Vec) -> list[tuple[Face, RelOpenCell]]:
-    return [(f, cell) for f, cell in face_image_cells(a) if cell.contains(x)]
+    return [(f, cell) for f, cell in a.face_images if cell.contains(x)]
 
 
 def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:
@@ -191,24 +203,16 @@ def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:
     hits = faces_through(a, point)
     if not hits:
         raise PointOutsideImage(f"{x} is not in the momentum image")
-    return [isotropy_for_face(a, f) for f, _ in hits]
+    return [a.face_isotropy[f] for f, _ in hits]
 
 
 def regular_locus(a: ToricAction, s: Stratification) -> set[int]:
     """Stratum ids over which every contributing face has zero isotropy."""
     if not a.is_effective():
         raise NonEffectiveAction("regular locus is only defined for effective actions")
-    out = set()
-    for st in s.strata:
-        regular = True
-        for cell in st.cells:
-            x = cell.sample_point()
-            for f, _ in faces_through(a, x):
-                if isotropy_for_face(a, f).isotropy_rank != 0:
-                    regular = False
-                    break
-            if not regular:
-                break
-        if regular:
-            out.add(st.id)
-    return out
+    singular = {f for f, iso in a.face_isotropy.items() if iso.isotropy_rank != 0}
+    return {
+        st.id
+        for st in s.strata
+        if not any(f in singular for cell in st.cells for f, _ in faces_through(a, cell.sample_point()))
+    }

@@ -4,6 +4,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from momstrat import hamiltonian_stratification, density_polynomial
 from momstrat.cli import main
 from momstrat.io import (
@@ -279,3 +281,47 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["dh", "x.json"])
     assert args.seed == 12345
+
+
+def _square_spec(normal=(1, 0), offset="1", matrix=((1, 0), (0, 1))):
+    rows = [([-1, 0], "0"), (list(normal), offset), ([0, -1], "0"), ([0, 1], "1")]
+    return {
+        "ambient_dim": 2,
+        "inequalities": [{"normal": n, "offset": o} for n, o in rows],
+        "subtorus_matrix": [list(r) for r in matrix],
+    }
+
+
+def _paper_document(**first_stratum):
+    doc = json.loads(serialize_document(make_document(hamiltonian_stratification(paper_action()))))
+    doc["strata"][0].update(first_stratum)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, payload, options",
+    [
+        pytest.param("stratify", _square_spec(normal=(1.7, 0)), (), id="float-normal"),
+        pytest.param("stratify", _square_spec(normal=(True, 0)), (), id="bool-normal"),
+        pytest.param("stratify", _square_spec(offset=0.1), (), id="float-offset"),
+        pytest.param("stratify", _square_spec(offset="1/0"), (), id="zero-denominator"),
+        pytest.param("stratify", _square_spec(matrix=((1.0, 0), (0, 1))), (), id="float-matrix"),
+        pytest.param(
+            "stratify", {"ambient_dim": 1, "members": [{"closure_vertices": []}]}, (), id="empty-vertices"
+        ),
+        pytest.param("render", _paper_document(cells=[]), (), id="empty-cells"),
+        pytest.param("render", _paper_document(dim=0.0), (), id="float-stratum-dim"),
+        pytest.param("render", [1, 2], (), id="non-object-document"),
+        pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
+        pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),
+    ],
+)
+def test_cli_malformed_input_exits_2_without_traceback(tmp_path, command, payload, options):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "momstrat.cli", command, str(path), *options], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error:")

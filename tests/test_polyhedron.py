@@ -16,7 +16,9 @@ from momstrat import (
 )
 from momstrat.errors import EmptyPolytope, RankDeficient, UnboundedPolytope
 from momstrat.polyhedron import (
+    cell_from_closure_points,
     cell_key,
+    closure_faces,
     hpolytope_from_points,
     is_bounded,
     split_cell,
@@ -91,12 +93,19 @@ def test_face_lattice_graded_and_vertex_intersection():
     lattice = face_lattice(prism_polytope())
     top_dim = max(f.dim for f in lattice.faces)
     facets = [f for f in lattice.faces if f.dim == top_dim - 1]
+    # cover relation: lower face inside upper face, dimension gap one
+    covers = [
+        (lo, hi)
+        for lo in lattice.faces
+        for hi in lattice.faces
+        if hi.dim == lo.dim + 1 and set(lo.vertex_ids) <= set(hi.vertex_ids)
+    ]
     for f in lattice.faces:
         # gradedness: every face below the top covers something and is covered
         if f.dim < top_dim:
-            assert any(i == lattice.faces.index(f) for i, _ in lattice.covers)
+            assert any(lo is f for lo, _ in covers)
         if f.dim > -1:
-            assert any(j == lattice.faces.index(f) for _, j in lattice.covers) or f.dim == top_dim
+            assert any(hi is f for _, hi in covers) or f.dim == top_dim
         # proper nonempty faces are the intersections of the facets above them
         if 0 <= f.dim < top_dim - 1:
             above = [g for g in facets if set(f.vertex_ids) <= set(g.vertex_ids)]
@@ -265,6 +274,25 @@ def test_split_cell_signs():
     parts2 = split_cell(square, (vec([1, 0]), F(5)))
     assert set(parts2) == {-1}
     assert parts2[-1] is square
+
+
+def test_closure_faces_are_canonical_cells():
+    # the prism's closure faces: 6 vertices, 9 edges, 5 facets, the prism itself
+    cell = cell_from_closure_points(list(vertices(prism_polytope())))
+    faces = closure_faces([cell])
+    assert Counter(f.dim for f in faces) == Counter({0: 6, 1: 9, 2: 5, 3: 1})
+    assert cell in faces
+    for f in faces:
+        assert f == cell_from_closure_points(list(f.closure_vertices))
+        assert all(cell.closure_contains(v) for v in f.closure_vertices)
+    # faces shared by two closures come back once
+    facets = [f for f in faces if f.dim == 2]
+    a, b = next(
+        (f, g) for f in facets for g in facets if f != g and set(f.closure_vertices) & set(g.closure_vertices)
+    )
+    both = closure_faces([a, b])
+    assert len(both) == len(set(both)) < len(closure_faces([a])) + len(closure_faces([b]))
+    assert set(both) == set(closure_faces([a])) | set(closure_faces([b]))
 
 
 def test_cell_canonical_encoding():

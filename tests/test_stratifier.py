@@ -30,24 +30,24 @@ F = Fraction
 def test_compute_d_field_single_member():
     cover = PiecewiseAffineCover.make([box_cell([[0, 0], [0, 1], [1, 0], [1, 1]])])
     field = compute_d_field(cover)
-    assert len(field.entries) == 1
-    cell, direction = field.entries[0]
+    assert len(field) == 1
+    cell, direction = field[0]
     assert direction == identity(2)
 
 
 def test_compute_d_field_paper_counts_and_ranks():
     field = compute_d_field(momentum_cover(paper_action()))
-    assert len(field.entries) == 21
-    by_rank = Counter(len(direction) for _, direction in field.entries)
+    assert len(field) == 21
+    by_rank = Counter(len(direction) for _, direction in field)
     assert by_rank == Counter({0: 7, 1: 10, 2: 4})
-    for cell, direction in field.entries:
+    for cell, direction in field:
         assert cell.dim == len(direction)
 
 
 def test_compute_d_field_interval_with_point():
     cover = PiecewiseAffineCover.make([segment_cell([0], [2]), point_cell([1])])
     field = compute_d_field(cover)
-    cells = [(len(d), tuple(map(tuple, c.closure_vertices))) for c, d in field.entries]
+    cells = [(len(d), tuple(map(tuple, c.closure_vertices))) for c, d in field]
     assert sorted(cells) == [
         (0, ((F(1),),)),
         (1, ((F(0),), (F(1),))),
