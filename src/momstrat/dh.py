@@ -6,9 +6,22 @@ volume one).  Working in kernel-lattice coordinates makes the normalization
 automatic: the fiber becomes a polytope in R^(n-k) whose Euclidean volume is
 the lattice-normalized one.
 
+The fiber vertices come from the faces of the momentum polytope Delta, not
+from a search over the fiber's rows.  The relative interiors of the faces
+partition Delta, so a point of the fiber over x is a vertex of the fiber
+exactly when the face G whose relative interior holds it meets the fiber in
+that point alone: when pi is injective on aff G, which forces dim G <= k.
+That point depends affinely on x while x stays in pi(relint G) -- the local
+triviality of the momentum map over each stratum, seen one vertex at a time.
+``ToricAction.fiber_charts`` therefore holds one affine chart per such face,
+built once per action, and the vertices over x are the chart values of the
+faces whose projected relative interior contains x: one vertex per face, with
+no duplicates, and a polytope row tight at a vertex exactly when it is
+active on that vertex's face.
+
 The volume is exact and comes from a triangulation driven by vertex-facet
 incidence (Bueler-Enge-Fukuda, "Exact volume computation for polytopes"):
-each fiber row is reduced once to the set of vertices it is tight at, and a
+each fiber row comes with the set of vertices it is tight at, and a
 face is handled as a set of vertex indices.  The facets of a face S are the
 maximal proper nonempty sets among the intersections of S with the row tight
 sets -- every facet of a face F is F meet some facet of the fiber, so this
@@ -22,7 +35,8 @@ and re-verified on held-out points.
 
 The Monte-Carlo estimator at the bottom is the only floating-point code in
 the package outside SVG coordinate formatting; it exists purely as an
-independent cross-check of the exact path.
+independent cross-check of the exact path, so it finds the fiber vertices on
+its own, by the exhaustive tight-basis scan over the fiber's rows.
 """
 
 from __future__ import annotations
@@ -31,9 +45,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     DegenerateFiber,
+    DimensionMismatch,
     EmptyFiber,
     InterpolationInconsistent,
     NotTopDimensional,
@@ -44,14 +60,13 @@ from .linalg import (
     Mat,
     Vec,
     dot,
-    kernel_lattice,
     mat,
     rref,
     solve,
     sub,
     vec,
 )
-from .polyhedron import Functional, enumerate_vertices, tight_sets
+from .polyhedron import Functional, enumerate_vertices
 from .stratifier import Stratification
 from .toric import ToricAction
 
@@ -87,16 +102,24 @@ class DensityPoly:
         return ZERO
 
 
+def _fiber_point(a: ToricAction, x) -> Vec:
+    point = vec(x)
+    if len(point) != a.k:
+        raise DimensionMismatch(f"the momentum image lies in R^{a.k}, got {len(point)} coordinates")
+    return point
+
+
 def _fiber_rows(a: ToricAction, x: Vec) -> tuple[list[Functional], Vec, Mat]:
-    """The fiber polytope over x in kernel-lattice coordinates.
+    """The fiber polytope over x in kernel-lattice coordinates, as H-rows.
 
     Returns (rows, particular solution p, lattice basis L) with the fiber
-    equal to {p + t.L : rows hold at t}.
+    equal to {p + t.L : rows hold at t}.  Only the Monte-Carlo oracle reads
+    the rows: it finds the fiber vertices from them on its own.
     """
     p = solve(a.projection, x)
     if p is None:
         raise EmptyFiber(f"projection misses {x}")
-    lattice = kernel_lattice(a.projection, a.n)
+    lattice = a.fiber_charts.lattice
     rows = []
     for row, beta in zip(a.polytope.A, a.polytope.b):
         coeffs = tuple(dot(row, li) for li in lattice)
@@ -150,21 +173,21 @@ def _incidence_fan(
     return simplices
 
 
-def polytope_volume(rows: list[Functional], verts: list[Vec], d: int) -> Fraction:
+def polytope_volume(tight: Sequence[frozenset[int]], verts: list[Vec], d: int) -> Fraction:
     """Exact Euclidean d-volume of conv(verts) inside R^d.
 
-    ``rows`` are valid inequalities for conv(verts) among which every facet
-    appears (redundant and repeated rows are harmless), e.g. the H-rows the
-    vertices were enumerated from.
+    ``tight`` holds, for each of a set of valid inequalities of conv(verts)
+    among which every facet appears (redundant and repeated ones are
+    harmless), the indices of the vertices at which it is tight -- e.g.
+    ``tight_sets(rows, verts)`` for the H-rows the vertices came from.
     """
     if d == 0:
         return Fraction(1)
     hull = AffineSubspace.from_points(verts)
     if hull.dim < d:
         return ZERO
-    tight = list(set(tight_sets(rows, verts)))
     total = ZERO
-    for simplex in _incidence_fan(tight, frozenset(range(len(verts))), {}):
+    for simplex in _incidence_fan(list(set(tight)), frozenset(range(len(verts))), {}):
         v0 = verts[simplex[0]]
         total += abs(_det([sub(verts[i], v0) for i in simplex[1:]]))
     factorial = 1
@@ -174,14 +197,22 @@ def polytope_volume(rows: list[Functional], verts: list[Vec], d: int) -> Fractio
 
 
 def fiber_volume(a: ToricAction, x) -> FiberVolume:
-    """Lattice-normalized exact volume of the momentum fiber over x."""
-    point = vec(x)
-    rows, _, lattice = _fiber_rows(a, point)
-    d = a.n - a.k
-    verts = enumerate_vertices(rows, d)
-    if not verts:
+    """Lattice-normalized exact volume of the momentum fiber over x.
+
+    The vertices come from the action's fiber charts, one per face whose
+    projected relative interior contains x; a polytope row is tight at a
+    vertex exactly when it is active on that vertex's face.
+    """
+    point = _fiber_point(a, x)
+    hits = a.fiber_charts.over(point)
+    if not hits:
         raise EmptyFiber(f"fiber over {x} is empty")
-    return FiberVolume(point, polytope_volume(rows, verts, d))
+    tight: list[set[int]] = [set() for _ in a.polytope.A]
+    for j, chart in enumerate(hits):
+        for i in chart.active_set:
+            tight[i].add(j)
+    verts = [chart.vertex(point) for chart in hits]
+    return FiberVolume(point, polytope_volume([frozenset(t) for t in tight], verts, a.n - a.k))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +323,7 @@ def mc_fiber_volume(a: ToricAction, x, trials: int, seed: int) -> MCVolume:
     """
     import numpy as np  # only the oracle needs it; kept out of ``import momstrat``
 
-    point = vec(x)
+    point = _fiber_point(a, x)
     rows, _, _ = _fiber_rows(a, point)
     d = a.n - a.k
     if d == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .cover import PiecewiseAffineCover
 from .errors import (
@@ -22,13 +23,18 @@ from .errors import (
 from .linalg import (
     Mat,
     Vec,
+    dot,
     integer_row_basis,
+    kernel_lattice,
     mat,
     nullspace,
     rank,
     row_space_basis,
+    rref,
     smith_invariants,
+    solve,
     transpose,
+    unit,
     vec,
 )
 from .polyhedron import (
@@ -86,6 +92,11 @@ class ToricAction:
     def face_isotropy(self) -> dict[Face, "IsotropyData"]:
         """``isotropy_for_face`` of every nonempty face, computed on first use."""
         return {f: isotropy_for_face(self, f) for f, _ in self.face_images}
+
+    @cached_property
+    def fiber_charts(self) -> "FiberCharts":
+        """``fiber_vertex_charts`` of this action, computed on first use."""
+        return fiber_vertex_charts(self)
 
     @cached_property
     def cover(self) -> PiecewiseAffineCover:
@@ -178,6 +189,83 @@ def momentum_cover(a: ToricAction) -> PiecewiseAffineCover:
     pts = [v for _, cell in pairs for v in cell.closure_vertices]
     support = hpolytope_from_points(pts)
     return PiecewiseAffineCover.make(members, (support,))
+
+
+# The two chart types are NamedTuples: a frozen dataclass costs about 1 ms
+# of ``import momstrat`` each, a NamedTuple a tenth of that.
+
+
+class FiberChart(NamedTuple):
+    """The fiber vertex contributed by one face G of the polytope.
+
+    For every x in pi(relint G) the fiber over x meets aff G in a single
+    point, which is a vertex of the fiber tight at exactly the rows of
+    ``active_set``.  Its kernel-lattice coordinates are affine in x:
+    t_i = offset[i] + linear[i].x.
+    """
+
+    active_set: tuple[int, ...]
+    offset: Vec
+    linear: Mat
+
+    def vertex(self, x: Vec) -> Vec:
+        return tuple(c + dot(row, x) for c, row in zip(self.offset, self.linear))
+
+
+class FiberCharts(NamedTuple):
+    """The fiber over x is {p(x) + t.lattice : rows hold at t}, where p(x) is
+    ``solve(a.projection, x)``.  ``cells`` pairs each projected face pi(relint G)
+    with the charts of the faces G that project onto it."""
+
+    lattice: Mat
+    cells: tuple[tuple[RelOpenCell, tuple[FiberChart, ...]], ...]
+
+    def over(self, x: Vec) -> list[FiberChart]:
+        """The charts of the fiber vertices over x, one per vertex."""
+        return [chart for cell, charts in self.cells if _in_relint(cell, x) for chart in charts]
+
+
+def _in_relint(cell: RelOpenCell, x: Vec) -> bool:
+    """``cell.contains(x)`` for a canonical cell, read off its cached ambient
+    rows: the carrier equations hold and every facet row is strict.  The
+    chart cells live as long as the action, so the rows are built once; this
+    halves the test against ``contains``, which maps x into the carrier's
+    coordinates on every call."""
+    lo, hi = cell.bbox
+    return (
+        all(l <= xi <= h for l, xi, h in zip(lo, x, hi))
+        and all(dot(a, x) == b for a, b in cell.ambient_equations)
+        and all(dot(a, x) < b for a, b in cell.ambient_facet_rows)
+    )
+
+
+def fiber_vertex_charts(a: ToricAction) -> FiberCharts:
+    """One chart per nonempty face G on whose affine hull pi is injective;
+    the ``dh`` module docstring says why these give every fiber vertex once.
+
+    In kernel-lattice coordinates t the fiber row of polytope row i reads
+    (A_i.L).t <= b_i - A_i.p(x), with p linear in x.  The vertex on G solves
+    the active rows of G, and any n - k independent ones among them give its
+    affine chart.
+    """
+    lattice = kernel_lattice(a.projection, a.n)
+    d = len(lattice)
+    p_basis = [solve(a.projection, unit(a.k, j)) for j in range(a.k)]
+    # row i as (A_i.L | b_i | -A_i.p(e_1) ... -A_i.p(e_k))
+    rows = [
+        tuple(dot(row, l) for l in lattice) + (beta,) + tuple(-dot(row, p) for p in p_basis)
+        for row, beta in zip(a.polytope.A, a.polytope.b)
+    ]
+    cells: dict[RelOpenCell, list[FiberChart]] = {}
+    for f, cell in a.face_images:
+        if cell.dim != f.dim:
+            continue
+        pick = rref(transpose(mat(rows[i][:d] for i in f.active_set)))[1] if d else []
+        red, _ = rref(mat(rows[f.active_set[i]] for i in pick))
+        offset = tuple(r[d] for r in red)
+        linear = tuple(r[d + 1 :] for r in red)
+        cells.setdefault(cell, []).append(FiberChart(f.active_set, offset, linear))
+    return FiberCharts(lattice, tuple((cell, tuple(charts)) for cell, charts in cells.items()))
 
 
 def hamiltonian_stratification(a: ToricAction) -> Stratification:

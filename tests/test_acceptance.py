@@ -15,14 +15,12 @@ from momstrat import (
     fiber_volume,
     hamiltonian_stratification,
     mc_fiber_volume,
-    momentum_cover,
     regular_locus,
     stratify,
     validate,
     vec,
     verify_frontier,
 )
-from momstrat.cover import refined_cells
 from momstrat.linalg import AffineSubspace, add, direction_intersect, scale
 from momstrat.polyhedron import hpolytope_from_points
 from momstrat.toric import isotropy_at
@@ -124,10 +122,10 @@ def test_criterion_4_stratification_axioms():
     rng = random.Random(0xF00)
     problems = []
     for idx, a in enumerate(instances):
-        cov = momentum_cover(a)
+        cov = a.cover
         s = stratification_for(a)
         # disjointness + covering on refined-piece samples
-        for piece in refined_cells(cov):
+        for piece in cov.pieces:
             owners = [st.id for st in s.strata if st.contains(piece.sample_point())]
             if len(owners) != 1:
                 problems.append((idx, "partition", piece.sample_point()))

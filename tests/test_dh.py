@@ -18,13 +18,15 @@ from momstrat import (
 )
 from momstrat import dh
 from momstrat.dh import polytope_volume
-from momstrat.errors import EmptyFiber, InterpolationInconsistent, NotTopDimensional
+from momstrat.errors import DimensionMismatch, EmptyFiber, InterpolationInconsistent, NotTopDimensional
 from momstrat.linalg import dot
+from momstrat.polyhedron import enumerate_vertices, tight_sets
 from support import (
     corpus,
     paper_action,
     simplex_sum_action,
     square_identity_action,
+    stratification_for,
     unit_square,
 )
 
@@ -51,6 +53,40 @@ def test_fiber_volume_empty_raises():
         fiber_volume(paper_action(), [10, 10])
 
 
+def test_fiber_volume_rejects_wrong_point_dimension():
+    with pytest.raises(DimensionMismatch):
+        fiber_volume(paper_action(), [1, 2, 3])
+
+
+def test_mc_fiber_volume_rejects_wrong_point_dimension():
+    with pytest.raises(DimensionMismatch):
+        mc_fiber_volume(paper_action(), [1], 100, 0)
+
+
+def test_fiber_charts_match_tight_basis_enumeration():
+    # reference: the fiber rows over x and every vertex they define, found by
+    # the exhaustive tight-basis scan; both sides use the kernel-lattice
+    # coordinates t of p(x) + t.L with p(x) = solve(projection, x)
+    rng = random.Random(1018)
+    actions = [paper_action(), *rng.sample(corpus(), 8)]
+    checked = 0
+    for a in actions:
+        d = a.n - a.k
+        points = [c.sample_point() for st in stratification_for(a).strata for c in st.cells]
+        if a.name == "paper":
+            points.append(vec([2, 2]))  # an image vertex: the fiber is a point
+        for x in points:
+            rows, _, _ = dh._fiber_rows(a, x)
+            expected = enumerate_vertices(rows, d)
+            hits = a.fiber_charts.over(x)
+            assert sorted(c.vertex(x) for c in hits) == expected
+            assert hits == [c for cell, cs in a.fiber_charts.cells if cell.contains(x) for c in cs]
+            volume = polytope_volume(tight_sets(rows, expected), expected, d)
+            assert fiber_volume(a, x).volume == volume
+            checked += 1
+    assert checked > 100
+
+
 def _rows(*pairs):
     return [(vec(a), F(b)) for a, b in pairs]
 
@@ -58,13 +94,13 @@ def _rows(*pairs):
 def test_polytope_volume_triangulation():
     square = [vec([0, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])]
     square_rows = _rows(([-1, 0], 0), ([1, 0], 1), ([0, -1], 0), ([0, 1], 1))
-    assert polytope_volume(square_rows, square, 2) == 1
+    assert polytope_volume(tight_sets(square_rows, square), square, 2) == 1
     simplex3 = [vec([0, 0, 0]), vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
     simplex3_rows = _rows(([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([1, 1, 1], 1))
-    assert polytope_volume(simplex3_rows, simplex3, 3) == F(1, 6)
+    assert polytope_volume(tight_sets(simplex3_rows, simplex3), simplex3, 3) == F(1, 6)
     flat = [vec([0, 0]), vec([1, 1])]
     flat_rows = _rows(([1, -1], 0), ([-1, 1], 0), ([1, 0], 1), ([-1, 0], 0))
-    assert polytope_volume(flat_rows, flat, 2) == 0
+    assert polytope_volume(tight_sets(flat_rows, flat), flat, 2) == 0
 
 
 def _box(lo, sides):
@@ -119,13 +155,14 @@ def _polytope_with_redundant_rows(draw):
 @given(_polytope_with_redundant_rows())
 def test_polytope_volume_closed_forms_with_redundant_rows(case):
     rows, verts, d, expected = case
-    assert polytope_volume(rows, verts, d) == expected
+    assert polytope_volume(tight_sets(rows, verts), verts, d) == expected
 
 
 def test_polytope_volume_flat_box_is_zero():
     rows, verts = _box([0, 1, -1], [2, 0, 3])
     assert len(set(verts)) == 4
-    assert polytope_volume(rows, sorted(set(verts)), 3) == 0
+    verts = sorted(set(verts))
+    assert polytope_volume(tight_sets(rows, verts), verts, 3) == 0
 
 
 def test_density_polynomial_unsolvable_system_is_typed(monkeypatch):

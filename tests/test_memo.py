@@ -1,8 +1,9 @@
 """Memoization lives on the objects it describes, never in module tables.
 
 Each expensive derived result (a polytope's face lattice, a cover's
-refinement and validation, an action's projected faces) is computed once per
-object and dropped with it; these tests pin that down by counting calls.
+refinement and validation, an action's projected faces and fiber charts) is
+computed once per object and dropped with it; these tests pin that down by
+counting calls.
 """
 
 import importlib
@@ -13,7 +14,17 @@ import sys
 from pathlib import Path
 
 import momstrat
-from momstrat import ToricAction, hamiltonian_stratification, mat, momentum_cover, polyhedron, stratify
+from momstrat import (
+    ToricAction,
+    density_polynomial,
+    hamiltonian_stratification,
+    mat,
+    mc_fiber_volume,
+    momentum_cover,
+    polyhedron,
+    stratify,
+    toric,
+)
 from momstrat.cli import main
 from support import paper_action, prism_polytope
 
@@ -74,6 +85,18 @@ def test_face_lattice_built_once_per_polytope(monkeypatch):
     action = ToricAction.make(prism_polytope(), mat([[1, 0], [1, 0], [0, 1]]))
     hamiltonian_stratification(action)
     assert action.is_delzant()
+    assert len(calls) == 1
+
+
+def test_fiber_charts_built_once_per_action(monkeypatch):
+    action = paper_action()
+    s = hamiltonian_stratification(action)
+    calls = _count_calls(monkeypatch, toric, "fiber_vertex_charts")
+    tops = [st.id for st in s.strata if st.dim == action.k]
+    for stratum_id in tops:
+        density_polynomial(action, s, stratum_id)
+    mc_fiber_volume(action, ["1/2", 1], trials=100, seed=0)  # reads the same lattice
+    assert len(tops) == 4
     assert len(calls) == 1
 
 

@@ -196,7 +196,7 @@ def test_verify_tangent_paper_and_identity():
 
 def test_verify_tangent_random_projected_covers():
     for action in corpus()[:6]:
-        cov = momentum_cover(action)
+        cov = action.cover
         s = stratify(cov)
         assert verify_tangent_condition(s, cov, samples_per_stratum=3).ok
 
@@ -227,7 +227,7 @@ def test_stratum_refinement_of_coarser_partition():
 
 def test_stratum_adjacency_witness_connects_cells():
     for action in [paper_action(), *corpus()[:5]]:
-        s = stratify(momentum_cover(action))
+        s = stratify(action.cover)
         for st in s.strata:
             if len(st.cells) == 1:
                 assert st.adjacency == ()

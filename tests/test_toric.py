@@ -73,7 +73,7 @@ def test_momentum_cover_square_projection_collapses():
 
 def test_momentum_cover_validates_on_corpus_sample():
     for a in corpus()[:10]:
-        assert validate(momentum_cover(a)).valid
+        assert validate(a.cover).valid
 
 
 def test_toric_action_input_validation():
@@ -257,7 +257,7 @@ def test_stratification_invariant_under_member_permutation_corpus():
     import momstrat
 
     for a in corpus()[:4]:
-        cov = momentum_cover(a)
+        cov = a.cover
         s1 = stratify(cov)
         members = list(cov.members)
         random.Random(5).shuffle(members)
