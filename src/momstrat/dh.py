@@ -59,6 +59,7 @@ from .linalg import (
     AffineSubspace,
     Mat,
     Vec,
+    det,
     dot,
     mat,
     rref,
@@ -127,26 +128,6 @@ def _fiber_rows(a: ToricAction, x: Vec) -> tuple[list[Functional], Vec, Mat]:
     return rows, p, lattice
 
 
-def _det(rows: list[Vec]) -> Fraction:
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((j for j in range(i, n) if a[j][i] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = Fraction(1) / a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] * inv
-                a[j] = [u - f * v for u, v in zip(a[j], a[i])]
-    return det
-
-
 def _incidence_fan(
     tight: list[frozenset[int]], face: frozenset[int], memo: dict
 ) -> list[tuple[int, ...]]:
@@ -183,13 +164,13 @@ def polytope_volume(tight: Sequence[frozenset[int]], verts: list[Vec], d: int) -
     """
     if d == 0:
         return Fraction(1)
-    hull = AffineSubspace.from_points(verts)
-    if hull.dim < d:
-        return ZERO
+    simplices = _incidence_fan(list(set(tight)), frozenset(range(len(verts))), {})
+    if len(simplices[0]) <= d:
+        return ZERO  # the fan of an e-polytope is made of (e+1)-vertex simplices
     total = ZERO
-    for simplex in _incidence_fan(list(set(tight)), frozenset(range(len(verts))), {}):
+    for simplex in simplices:
         v0 = verts[simplex[0]]
-        total += abs(_det([sub(verts[i], v0) for i in simplex[1:]]))
+        total += abs(det([sub(verts[i], v0) for i in simplex[1:]]))
     factorial = 1
     for i in range(2, d + 1):
         factorial *= i

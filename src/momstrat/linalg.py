@@ -174,6 +174,27 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
+def det(rows: Sequence[Vec]) -> Fraction:
+    """Exact determinant of a square matrix by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    result = ONE
+    for i in range(n):
+        piv = next((j for j in range(i, n) if a[j][i] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            result = -result
+        result *= a[i][i]
+        inv = ONE / a[i][i]
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] * inv
+                a[j] = [u - f * v for u, v in zip(a[j], a[i])]
+    return result
+
+
 def in_row_space(v: Vec, basis: Mat) -> bool:
     """Exact membership of v in the span of the basis rows."""
     if is_zero_vec(v):

@@ -13,6 +13,16 @@ cells have bit-identical encodings.  The faces of a cell's closure are cells
 too, built the same way; the refinement and frontier tests read one as a
 closed set through an explicit ``closed`` flag.
 
+This module alone decides cell membership:
+
+- is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
+  and ``RelOpenCell.closure_contains``, from the cached ambient rows;
+- does the relatively open x meet a cell, or its closure?  ``meets``, which
+  both the refinement (through ``_membership_constant``) and the frontier
+  check call;
+- is x covered by a union of closures?  ``uncovered_point`` returns a point
+  of x outside all of them, or None.
+
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
 that object: a polytope's face lattice, a cell's ambient rows and bounding box.
@@ -178,7 +188,8 @@ def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Fu
     """Ambient functional agreeing with a_loc.t <= b_loc on the carrier.
 
     Uses the pivot-coordinate chart, so the lift is canonical given the
-    carrier encoding (and exact on the carrier itself).
+    carrier encoding; since ``to_local`` reads the pivot coordinates, the
+    lift equals a_loc.to_local(x) - b_loc at every x, not only on the carrier.
     """
     n = carrier.ambient_dim
     a_amb = [ZERO] * n
@@ -329,38 +340,29 @@ class RelOpenCell:
 
     @cached_property
     def ambient_facet_rows(self) -> tuple[Functional, ...]:
-        """The facet rows lifted to ambient coordinates (exact on the carrier)."""
+        """The facet rows lifted to ambient coordinates (``_lift_functional``)."""
         return tuple(_canon_row(_lift_functional(self.carrier, a, b)) for a, b in self.local_rows())
 
-    def _bbox_contains(self, x: Vec) -> bool:
+    def _on_carrier_in_bbox(self, x: Vec) -> bool:
+        if len(x) != self.ambient_dim:
+            raise DimensionMismatch("point dimension mismatch")
         lo, hi = self.bbox
-        return all(l <= xi <= h for l, xi, h in zip(lo, x, hi))
+        return all(l <= xi <= h for l, xi, h in zip(lo, x, hi)) and all(
+            dot(a, x) == b for a, b in self.ambient_equations
+        )
 
     def closure_contains(self, x: Vec) -> bool:
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatch("point dimension mismatch")
-        if not self._bbox_contains(x):
-            return False
-        if not self.carrier.contains(x):
-            return False
-        t = self.carrier.to_local(x)
-        return all(dot(a, t) <= b for a, b in self.local_rows())
+        return self._on_carrier_in_bbox(x) and all(dot(a, x) <= b for a, b in self.ambient_facet_rows)
 
     def contains(self, x: Vec) -> bool:
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatch("point dimension mismatch")
-        if not self._bbox_contains(x):
-            return False
-        if not self.carrier.contains(x):
-            return False
-        if self.dim == 0:
-            return True
-        t = self.carrier.to_local(x)
-        vals = [b - dot(a, t) for a, b in self.local_rows()]
-        if any(v < 0 for v in vals):
-            return False
-        # relative openness: each excluded face must keep one row strict
-        return all(any(vals[i] > 0 for i in face) for face in self.excluded_faces)
+        """x lies on the carrier and strictly inside every facet row.
+
+        Read off the cached ambient rows, which agree with the carrier-local
+        rows at every point up to a positive scaling.  A canonical cell
+        excludes exactly its single facet rows (``excluded_faces`` is
+        ((0,), (1,), ...)), so its relative interior is where all are strict.
+        """
+        return self._on_carrier_in_bbox(x) and all(dot(a, x) < b for a, b in self.ambient_facet_rows)
 
     def interior_points(self, count: int, rng) -> list[Vec]:
         """Deterministic rational points in the cell: positive vertex mixes."""
@@ -505,13 +507,6 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
     }
 
 
-def _split_pieces(pieces: list[RelOpenCell], cut: Functional) -> list[RelOpenCell]:
-    out: list[RelOpenCell] = []
-    for piece in pieces:
-        out.extend(split_cell(piece, cut).values())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closure faces of a cell
 
@@ -529,10 +524,10 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 
 
 # ---------------------------------------------------------------------------
-# constancy tests used by the refinement fixpoint
+# cell tests: meeting, constant membership, covering
 #
-# An object of the refinement is a cell read either as the relatively open
-# set it is (closed=False) or as its closure (closed=True).
+# An object is a cell read either as the relatively open set it is
+# (closed=False) or as its closure (closed=True).
 
 
 def _bbox(points: Mat) -> tuple[Vec, Vec]:
@@ -574,14 +569,24 @@ def _closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
     return False
 
 
-def _closure_intersection_vertices(x: RelOpenCell, obj: RelOpenCell) -> list[Vec]:
-    """Vertices of Cl(x) ∩ Cl(obj), in x-local coordinates ([] when empty)."""
+def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
+    """Does the relatively open x meet obj, read as its closure (closed=True)
+    or as the relatively open set it is?"""
+    if _bbox_disjoint(x.bbox, obj.bbox):
+        return False
+    if (obj.closure_contains if closed else obj.contains)(x.sample_point()):
+        return True
+    if _closures_separated(x, obj):
+        return False
+    # Q = Cl(x) ∩ Cl(obj) in x-local coordinates; Q minus finitely many
+    # hyperplanes is nonempty exactly when the convex Q lies in none of them
     rows: list[Functional] = x.local_rows()
+    strict: list[Functional] = x.local_rows()
     for a, b in obj.ambient_equations:
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         if all(c == 0 for c in a_loc):
             if b_loc != 0:
-                return []
+                return False
             continue
         rows.append((a_loc, b_loc))
         rows.append((tuple(-c for c in a_loc), -b_loc))
@@ -589,47 +594,24 @@ def _closure_intersection_vertices(x: RelOpenCell, obj: RelOpenCell) -> list[Vec
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         if all(c == 0 for c in a_loc):
             if b_loc < 0:
-                return []
+                return False
             continue
         rows.append((a_loc, b_loc))
-    return enumerate_vertices(rows, x.dim)
-
-
-def _meets_relopen(x: RelOpenCell, obj: RelOpenCell, q_local: list[Vec], closed: bool) -> bool:
-    """Given the vertices of Q = Cl(x) ∩ Cl(obj), decide whether x meets obj
-    (read as closed or open).
-
-    Q minus finitely many hyperplanes is nonempty exactly when the convex Q
-    is contained in none of them.
-    """
-    if not q_local:
-        return False
-    strict: list[Functional] = x.local_rows()
-    if not closed:
-        for a, b in obj.ambient_facet_rows:
-            a_loc, b_loc = _restrict_functional(x.carrier, a, b)
-            if any(c != 0 for c in a_loc):
-                strict.append((a_loc, b_loc))
-    return all(any(dot(a, q) != b for q in q_local) for a, b in strict)
+        if not closed:
+            strict.append((a_loc, b_loc))
+    q = enumerate_vertices(rows, x.dim)
+    return bool(q) and all(any(dot(a, t) != b for t in q) for a, b in strict)
 
 
 def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
-    """Is membership in obj (read as closed or open) constant on x?"""
-    if _bbox_disjoint(x.bbox, obj.bbox):
-        return True
-    if all(obj.closure_contains(v) for v in x.closure_vertices):
-        # inside the closure: constant true for the closed object; for the
-        # open one x is either inside a facet (constant false) or strictly
-        # inside every facet (constant true)
-        return True
-    if _closures_separated(x, obj):
-        return True
-    # mixed situation: non-constant exactly when x still meets obj
-    contains = obj.closure_contains if closed else obj.contains
-    if contains(x.sample_point()):
-        return False
-    q = _closure_intersection_vertices(x, obj)
-    return not _meets_relopen(x, obj, q, closed)
+    """Is membership in obj (read as closed or open) constant on x?
+
+    Inside the closure it is: constant true for the closed object, and for
+    the open one x lies either inside a facet (constant false) or strictly
+    inside every facet (constant true).  Otherwise it is non-constant
+    exactly when x still meets obj.
+    """
+    return all(obj.closure_contains(v) for v in x.closure_vertices) or not meets(x, obj, closed)
 
 
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:
@@ -650,6 +632,22 @@ def _object_sign_table(obj: RelOpenCell, closed: bool) -> list[tuple[Functional,
         allowed = (good, 0) if closed else (good,)
         table.append((cut, allowed))
     return table
+
+
+def uncovered_point(x: RelOpenCell, closures: Sequence[RelOpenCell]) -> Vec | None:
+    """A point of x outside every Cl(t) for t in ``closures``, or None when
+    x lies in their union.  x is split by the defining hyperplanes of the
+    cells near it, so membership in each closure is constant on every piece
+    and one sample point per piece decides it."""
+    relevant = [t for t in closures if not _bbox_disjoint(x.bbox, t.bbox)]
+    pieces = [x]
+    for cut in sorted({f for t in relevant for f in _object_functionals(t)}):
+        pieces = [sub_cell for piece in pieces for sub_cell in split_cell(piece, cut).values()]
+    for piece in pieces:
+        s = piece.sample_point()
+        if not any(t.closure_contains(s) for t in relevant):
+            return s
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,7 @@ from typing import Sequence
 from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
-from .polyhedron import (
-    RelOpenCell,
-    _bbox_disjoint,
-    _canon_cut,
-    _closure_intersection_vertices,
-    _closures_separated,
-    _meets_relopen,
-    _split_pieces,
-    cell_key,
-)
+from .polyhedron import RelOpenCell, _bbox_disjoint, cell_key, meets, uncovered_point
 
 
 @dataclass(frozen=True)
@@ -180,38 +171,9 @@ class FrontierReport:
         return not self.violations
 
 
-def _cell_meets_closure(sigma: RelOpenCell, t: RelOpenCell) -> bool:
-    """Exact test: does the relopen sigma meet the closed Cl(t)?"""
-    if _bbox_disjoint(sigma.bbox, t.bbox):
-        return False
-    if t.closure_contains(sigma.sample_point()):
-        return True
-    if _closures_separated(sigma, t):
-        return False
-    q = _closure_intersection_vertices(sigma, t)
-    return _meets_relopen(sigma, t, q, closed=True)
-
-
 def _stratum_bbox(st: Stratum):
     los, his = zip(*(c.bbox for c in st.cells))
     return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-
-
-def _cell_subset_of_closure_union(sigma: RelOpenCell, stratum: Stratum) -> tuple[bool, Vec | None]:
-    """Exact sigma ⊆ ∪ Cl(t): refine sigma by the cells' defining hyperplanes
-    and point-test each sub-piece (membership is then sign-determined)."""
-    relevant = [t for t in stratum.cells if not _bbox_disjoint(sigma.bbox, t.bbox)]
-    cuts = set()
-    for t in relevant:
-        cuts.update(_canon_cut(f) for f in t.ambient_equations + t.ambient_facet_rows)
-    pieces = [sigma]
-    for cut in sorted(cuts):
-        pieces = _split_pieces(pieces, cut)
-    for piece in pieces:
-        s = piece.sample_point()
-        if not any(t.closure_contains(s) for t in relevant):
-            return False, s
-    return True, None
 
 
 def verify_frontier(s: Stratification) -> FrontierReport:
@@ -224,10 +186,7 @@ def verify_frontier(s: Stratification) -> FrontierReport:
                 continue
             if _bbox_disjoint(boxes[lo.id], boxes[up.id]):
                 continue
-            meets = any(
-                _cell_meets_closure(sigma, t) for sigma in lo.cells for t in up.cells
-            )
-            if not meets:
+            if not any(meets(sigma, t, closed=True) for sigma in lo.cells for t in up.cells):
                 continue
             if lo.dim >= up.dim:
                 violations.append(
@@ -239,8 +198,8 @@ def verify_frontier(s: Stratification) -> FrontierReport:
             if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
                 continue
             for sigma in lo.cells:
-                ok, witness = _cell_subset_of_closure_union(sigma, up)
-                if not ok:
+                witness = uncovered_point(sigma, up.cells)
+                if witness is not None:
                     violations.append(
                         FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
                     )

@@ -23,11 +23,13 @@ from .errors import (
 from .linalg import (
     Mat,
     Vec,
+    det,
     dot,
     integer_row_basis,
     kernel_lattice,
     mat,
     nullspace,
+    primitive_functional,
     rank,
     row_space_basis,
     rref,
@@ -112,39 +114,15 @@ class ToricAction:
     def is_delzant(self) -> bool:
         """Each vertex must lie on exactly n facets whose primitive normals
         form a Z^n basis (the smoothness criterion for toric manifolds)."""
-        from .linalg import primitive_functional
-
         for f in self.polytope.lattice.by_dim(0):
             prim = sorted(
                 {primitive_functional(self.polytope.A[i], self.polytope.b[i])[0] for i in f.active_set}
             )
             if len(prim) != self.n:
                 return False
-            ints = [[int(x) for x in row] for row in prim]
-            if abs(_det_int(ints)) != 1:
+            if abs(det(prim)) != 1:
                 return False
         return True
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    a = [r[:] for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            piv = next((j for j in range(i + 1, n) if a[j][i] != 0), None)
-            if piv is None:
-                return 0
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        for j in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[j][c] = (a[j][c] * a[i][i] - a[j][i] * a[i][c]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -222,21 +200,7 @@ class FiberCharts(NamedTuple):
 
     def over(self, x: Vec) -> list[FiberChart]:
         """The charts of the fiber vertices over x, one per vertex."""
-        return [chart for cell, charts in self.cells if _in_relint(cell, x) for chart in charts]
-
-
-def _in_relint(cell: RelOpenCell, x: Vec) -> bool:
-    """``cell.contains(x)`` for a canonical cell, read off its cached ambient
-    rows: the carrier equations hold and every facet row is strict.  The
-    chart cells live as long as the action, so the rows are built once; this
-    halves the test against ``contains``, which maps x into the carrier's
-    coordinates on every call."""
-    lo, hi = cell.bbox
-    return (
-        all(l <= xi <= h for l, xi, h in zip(lo, x, hi))
-        and all(dot(a, x) == b for a, b in cell.ambient_equations)
-        and all(dot(a, x) < b for a, b in cell.ambient_facet_rows)
-    )
+        return [chart for cell, charts in self.cells if cell.contains(x) for chart in charts]
 
 
 def fiber_vertex_charts(a: ToricAction) -> FiberCharts:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +29,7 @@ from support import (
     paper_action,
     point_cell,
     prism_polytope,
+    random_toric_instance,
     segment_cell,
     simplex2_scaled,
     unit_square,
@@ -205,6 +207,39 @@ def test_cell_contains_open_segment():
     assert cell_contains(seg, [1, 2])
     assert not cell_contains(seg, [1, 3])
     assert not cell_contains(seg, [2, 2])
+
+
+def _carrier_local_membership(cell, x, closed):
+    """Reference point test in the cell's carrier coordinates: x on the
+    carrier, every local row holding, and for the open cell every excluded
+    face keeping one of its rows strict."""
+    if not cell.carrier.contains(x):
+        return False
+    t = cell.carrier.to_local(x)
+    slack = [b - sum(ai * ti for ai, ti in zip(a, t)) for a, b in zip(cell.closed_A, cell.closed_b)]
+    if any(v < 0 for v in slack):
+        return False
+    return closed or all(any(slack[i] > 0 for i in face) for face in cell.excluded_faces)
+
+
+def _probe_points(cell):
+    verts = list(cell.closure_vertices)
+    centre = cell.sample_point()
+    pts = verts + [centre]
+    pts += [tuple((p + q) / 2 for p, q in zip(u, w)) for u, w in itertools.combinations(verts, 2)]
+    # off the carrier along each of its normals
+    pts += [tuple(c + F(1, 7) * ai for c, ai in zip(centre, a)) for a, _ in cell.carrier.equations()]
+    return pts
+
+
+def test_point_tests_match_carrier_local_reference():
+    for action in [paper_action()] + [random_toric_instance(seed) for seed in (1000, 1005, 1008)]:
+        members = action.cover.members
+        cells = list(members) + closure_faces(members)
+        for cell in cells:
+            for x in _probe_points(cell):
+                assert cell.contains(x) == _carrier_local_membership(cell, x, closed=False)
+                assert cell.closure_contains(x) == _carrier_local_membership(cell, x, closed=True)
 
 
 def test_common_refinement_single_cut():

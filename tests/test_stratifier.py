@@ -182,7 +182,22 @@ def test_verify_frontier_flags_hand_built_violation():
     broken = Stratification(strata, (), 2)
     report = verify_frontier(broken)
     assert not report.ok
-    assert any(v.lower_id == 0 and v.upper_id == 1 for v in report.violations)
+    hits = [v for v in report.violations if v.lower_id == 0 and v.upper_id == 1]
+    assert hits
+    assert all(long_edge.contains(v.witness) and not chamber.closure_contains(v.witness) for v in hits)
+
+
+def test_verify_frontier_edge_covered_by_two_closures_only_together():
+    # the edge {1} x (0,2) lies in the union of the closures of the chambers
+    # (0,1) x (0,1) and (0,1) x (1,2), but in neither closure alone
+    lower = box_cell([[0, 0], [0, 1], [1, 0], [1, 1]])
+    upper = box_cell([[0, 1], [0, 2], [1, 1], [1, 2]])
+    edge = segment_cell([1, 0], [1, 2])
+    strata = (
+        Stratum(0, edge.carrier.directions, edge.carrier, (edge,), 1, ()),
+        Stratum(1, lower.carrier.directions, lower.carrier, (lower, upper), 2, ()),
+    )
+    assert verify_frontier(Stratification(strata, ((0, 1),), 2)).ok
 
 
 def test_verify_tangent_paper_and_identity():
