@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import Vec, vec
-from .polyhedron import HPolytope, RelOpenCell, _refine_engine
+from .polyhedron import HPolytope, RelOpenCell, _refine_engine, _within_closure
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,7 @@ def validate(c: PiecewiseAffineCover) -> ValidationReport:
     reports = []
     valid = True
     for i, p in enumerate(c.members):
-        contained = tuple(
-            j
-            for j, q in enumerate(c.members)
-            if all(p.closure_contains(v) for v in q.closure_vertices)
-        )
+        contained = tuple(j for j, q in enumerate(c.members) if _within_closure(q, p))
         witness = None
         for piece in pieces:
             s = piece.sample_point()

@@ -17,15 +17,32 @@ This module alone decides cell membership:
 
 - is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
   and ``RelOpenCell.closure_contains``, from the cached ambient rows;
+- does a cell lie in another's closure?  ``_within_closure``, from the
+  closure vertices;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
   both the refinement (through ``_membership_constant``) and the frontier
   check call;
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None.
 
+The sign tests of cells run in integers.  A canonical row a.x <= beta has
+primitive integer coefficients (``_canon_row``), so it is kept as
+(a, beta_n, beta_d) with beta = beta_n / beta_d; points are kept as integer
+numerators over one common denominator d > 0.  At x = n / d the integer
+(a.n) * beta_d - beta_n * d is a.x - beta times d * beta_d > 0, so it has the
+same sign: the test is exact, with no rational normalization.  A cell caches
+these forms beside its ``Fraction`` data (``_int_equations``,
+``_int_facet_rows``, ``_int_vertices`` and ``bbox``, whose corners share the
+vertices' denominator, so a box test is one cross-multiplication per
+coordinate).  They serve the point tests, the box tests, ``_within_closure``,
+``_closures_separated`` and the vertex classification when cells are built
+and split.  Crossing points, carriers, restricted rows, ``enumerate_vertices``
+(and so the last step of ``meets``) and everything returned stay ``Fraction``.
+
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
-that object: a polytope's face lattice, a cell's ambient rows and bounding box.
+that object: a polytope's face lattice, a cell's ambient rows, their integer
+forms and the bounding box.
 """
 
 from __future__ import annotations
@@ -34,6 +51,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
@@ -75,6 +94,50 @@ def _canon_cut(f: Functional) -> Functional:
 def _canon_row(f: Functional) -> Functional:
     """Canonical oriented inequality row a.x <= beta (positive scaling only)."""
     return primitive_functional(*f)
+
+
+# Integer forms of the sign kernel (see the module docstring).
+IntRow = tuple[tuple[int, ...], int, int]  # (a, numerator of beta, denominator of beta)
+IntPoints = tuple[tuple[tuple[int, ...], ...], int]  # (numerator rows, common denominator)
+Box = tuple[tuple[int, ...], tuple[int, ...], int]  # (lo, hi, d): corners lo / d and hi / d
+
+
+def _int_row(f: Functional) -> IntRow:
+    """The row a.x <= beta scaled by a positive integer to integer
+    coefficients (by 1 for a canonical row), in integer form."""
+    a, b = f
+    m = lcm(*(c.denominator for c in a))
+    if m != 1:
+        b = b * m
+    return tuple(c.numerator * (m // c.denominator) for c in a), b.numerator, b.denominator
+
+
+def _int_points(points: Iterable[Vec]) -> IntPoints:
+    """Points over one common denominator d > 0: x = n / d for each row n."""
+    points = tuple(points)
+    d = lcm(*(c.denominator for p in points for c in p))
+    return tuple(tuple(c.numerator * (d // c.denominator) for c in p) for p in points), d
+
+
+def _bbox(points: IntPoints) -> Box:
+    nums, d = points
+    cols = list(zip(*nums))
+    return tuple(map(min, cols)), tuple(map(max, cols)), d
+
+
+def _excess(row: IntRow, n: tuple[int, ...], d: int) -> int:
+    """An integer with the sign of a.x - beta at x = n / d: (a.n) * beta_d -
+    beta_n * d, which is a.x - beta times d * beta_d > 0."""
+    a, bn, bd = row
+    return sum(map(mul, a, n)) * bd - bn * d
+
+
+def _excesses(row: IntRow, points: IntPoints) -> list[int]:
+    """``_excess`` of one row at each point, sharing the denominator."""
+    a, bn, bd = row
+    nums, d = points
+    t = bn * d
+    return [sum(map(mul, a, n)) * bd - t for n in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +393,14 @@ class RelOpenCell:
         return tuple(self.carrier.to_local(v) for v in self.closure_vertices)
 
     @cached_property
-    def bbox(self) -> tuple[Vec, Vec]:
-        return _bbox(self.closure_vertices)
+    def _int_vertices(self) -> IntPoints:
+        """The closure vertices over one common denominator."""
+        return _int_points(self.closure_vertices)
+
+    @cached_property
+    def bbox(self) -> Box:
+        """Bounding box of the closure, over the denominator of ``_int_vertices``."""
+        return _bbox(self._int_vertices)
 
     @cached_property
     def ambient_equations(self) -> tuple[Functional, ...]:
@@ -343,16 +412,30 @@ class RelOpenCell:
         """The facet rows lifted to ambient coordinates (``_lift_functional``)."""
         return tuple(_canon_row(_lift_functional(self.carrier, a, b)) for a, b in self.local_rows())
 
-    def _on_carrier_in_bbox(self, x: Vec) -> bool:
+    @cached_property
+    def _int_equations(self) -> tuple[IntRow, ...]:
+        return tuple(map(_int_row, self.ambient_equations))
+
+    @cached_property
+    def _int_facet_rows(self) -> tuple[IntRow, ...]:
+        return tuple(map(_int_row, self.ambient_facet_rows))
+
+    def _int_point(self, x: Vec) -> tuple[tuple[int, ...], int]:
+        """x as (n, d) with x = n / d, after the dimension check."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        lo, hi = self.bbox
-        return all(l <= xi <= h for l, xi, h in zip(lo, x, hi)) and all(
-            dot(a, x) == b for a, b in self.ambient_equations
+        (n,), d = _int_points((x,))
+        return n, d
+
+    def _on_carrier_in_bbox(self, n: tuple[int, ...], d: int) -> bool:
+        lo, hi, e = self.bbox
+        return all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi)) and not any(
+            _excess(r, n, d) for r in self._int_equations
         )
 
     def closure_contains(self, x: Vec) -> bool:
-        return self._on_carrier_in_bbox(x) and all(dot(a, x) <= b for a, b in self.ambient_facet_rows)
+        n, d = self._int_point(x)
+        return self._on_carrier_in_bbox(n, d) and all(_excess(r, n, d) <= 0 for r in self._int_facet_rows)
 
     def contains(self, x: Vec) -> bool:
         """x lies on the carrier and strictly inside every facet row.
@@ -362,7 +445,8 @@ class RelOpenCell:
         excludes exactly its single facet rows (``excluded_faces`` is
         ((0,), (1,), ...)), so its relative interior is where all are strict.
         """
-        return self._on_carrier_in_bbox(x) and all(dot(a, x) < b for a, b in self.ambient_facet_rows)
+        n, d = self._int_point(x)
+        return self._on_carrier_in_bbox(n, d) and all(_excess(r, n, d) < 0 for r in self._int_facet_rows)
 
     def interior_points(self, count: int, rng) -> list[Vec]:
         """Deterministic rational points in the cell: positive vertex mixes."""
@@ -389,9 +473,11 @@ def _canonical_cell(
     if d == 0:
         verts = pts
     else:
+        int_local = _int_points(local)
+        tight = [[v == 0 for v in _excesses(_int_row(r), int_local)] for r in rows]
         verts = []
-        for p, t in zip(pts, local):
-            active = mat(a for a, b in rows if dot(a, t) == b)
+        for i, p in enumerate(pts):
+            active = mat(a for (a, _), t in zip(rows, tight) if t[i])
             if active and rank(active) == d:
                 verts.append(p)
     a = mat(r[0] for r in rows)
@@ -402,7 +488,7 @@ def _canonical_cell(
 
 def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
     """Canonical cell whose closure is conv(points)."""
-    pts = sorted(set(tuple(p) for p in points))
+    pts = sorted(set(vec(p) for p in points))
     carrier = AffineSubspace.from_points(pts)
     local = [carrier.to_local(p) for p in pts]
     return _canonical_cell(pts, carrier, local, facets_from_points(local, carrier.dim))
@@ -439,18 +525,16 @@ def _cell_from_split(points: list[Vec], candidates: list[Functional]) -> RelOpen
     local_pts = [carrier.to_local(p) for p in pts]
     if d == 0:
         return _canonical_cell(pts, carrier, local_pts, ())
+    int_pts = _int_points(pts)
     rows: set[Functional] = set()
     for a, beta in candidates:
+        # the points span the carrier, so a row constant on them restricts to zero
+        vals = _excesses(_int_row((a, beta)), int_pts)
+        lo, hi = min(vals), max(vals)
+        if lo == hi or (lo < 0 < hi):
+            continue
         a_loc, b_loc = _restrict_functional(carrier, a, beta)
-        if all(c == 0 for c in a_loc):
-            continue
-        vals = [dot(a_loc, t) - b_loc for t in local_pts]
-        if all(v <= 0 for v in vals):
-            row = _canon_row((a_loc, b_loc))
-        elif all(v >= 0 for v in vals):
-            row = _canon_row((tuple(-c for c in a_loc), -b_loc))
-        else:
-            continue
+        row = _canon_row((a_loc, b_loc) if hi <= 0 else (tuple(-c for c in a_loc), -b_loc))
         if row in rows:
             continue
         tight = mat(t for t, v in zip(local_pts, vals) if v == 0)
@@ -469,12 +553,8 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
     nonempty subcells on that side.  A cell whose relative interior misses
     the hyperplane comes back intact under its single sign.
     """
-    a, beta = cut
-    a_loc, b_loc = _restrict_functional(cell.carrier, a, beta)
-    if all(x == 0 for x in a_loc):
-        return {0 if b_loc == 0 else (-1 if b_loc > 0 else 1): cell}
-    local_pts = list(cell.local_vertices)
-    vals = [dot(a_loc, t) - b_loc for t in local_pts]
+    verts = cell._int_vertices
+    vals = _excesses(_int_row(cut), verts)
     negs = [i for i, v in enumerate(vals) if v < 0]
     poss = [i for i, v in enumerate(vals) if v > 0]
     if not (negs and poss):
@@ -482,21 +562,24 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
             return {0: cell}
         return {-1 if negs else 1: cell}
     d = cell.dim
+    local_pts = list(cell.local_vertices)
     rows = cell.local_rows()
+    # tight[r]: the vertices on facet row r; the lifted rows agree with the local ones
+    tight = [[v == 0 for v in _excesses(r, verts)] for r in cell._int_facet_rows]
     crossings: list[Vec] = []
     for i in negs:
         u, vu = local_pts[i], vals[i]
         for j in poss:
             w, vw = local_pts[j], vals[j]
             if d > 1:
-                active = mat(ar for ar, br in rows if dot(ar, u) == br and dot(ar, w) == br)
+                active = mat(ar for (ar, _), t in zip(rows, tight) if t[i] and t[j])
                 if not active or rank(active) != d - 1:
                     continue
-            lam = vu / (vu - vw)
+            # the excesses share one positive scale, so their ratio is exact
+            lam = Fraction(vu, vu - vw)
             crossings.append(add(u, scale(sub(w, u), lam)))
     to_amb = cell.carrier.from_local
-    cut_row = _canon_cut(cut)
-    candidates = [*cell.ambient_facet_rows, cut_row, (tuple(-c for c in cut_row[0]), -cut_row[1])]
+    candidates = [*cell.ambient_facet_rows, cut, (tuple(-c for c in cut[0]), -cut[1])]
     lo = [to_amb(p) for p, v in zip(local_pts, vals) if v <= 0] + [to_amb(t) for t in crossings]
     hi = [to_amb(p) for p, v in zip(local_pts, vals) if v >= 0] + [to_amb(t) for t in crossings]
     mid = [to_amb(p) for p, v in zip(local_pts, vals) if v == 0] + [to_amb(t) for t in crossings]
@@ -530,14 +613,26 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 # (closed=False) or as its closure (closed=True).
 
 
-def _bbox(points: Mat) -> tuple[Vec, Vec]:
-    cols = list(zip(*points))
-    return tuple(min(c) for c in cols), tuple(max(c) for c in cols)
+def _cells_bbox(cells: Iterable[RelOpenCell]) -> Box:
+    """Bounding box of the union of the cells' closures."""
+    return _bbox(_int_points(v for c in cells for v in c.closure_vertices))
 
 
-def _bbox_disjoint(b1, b2) -> bool:
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+def _bbox_disjoint(b1: Box, b2: Box) -> bool:
+    (lo1, hi1, d1), (lo2, hi2, d2) = b1, b2
+    return any(h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+
+
+def _within_closure(x: RelOpenCell, obj: RelOpenCell) -> bool:
+    """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj)."""
+    verts = x._int_vertices
+    (lo, hi, e), (xlo, xhi, d) = obj.bbox, x.bbox
+    return (
+        all(l * d <= c * e for l, c in zip(lo, xlo))
+        and all(c * e <= h * d for c, h in zip(xhi, hi))
+        and not any(any(_excesses(r, verts)) for r in obj._int_equations)
+        and all(max(_excesses(r, verts)) <= 0 for r in obj._int_facet_rows)
+    )
 
 
 def _closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
@@ -547,24 +642,22 @@ def _closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
     strictly inside every facet of x, so one-sided weak separations with one
     strict vertex already rule out the intersection.
     """
-    xverts = x.closure_vertices
-    for a, b in obj.ambient_facet_rows:
-        vals = [dot(a, v) - b for v in xverts]
-        if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
+    xverts = x._int_vertices
+    for row in obj._int_facet_rows:
+        vals = _excesses(row, xverts)
+        if min(vals) >= 0 and max(vals) > 0:
             return True
-    for a, b in obj.ambient_equations:
-        vals = [dot(a, v) - b for v in xverts]
-        if (all(v >= 0 for v in vals) and any(v > 0 for v in vals)) or (
-            all(v <= 0 for v in vals) and any(v < 0 for v in vals)
-        ):
+    for row in obj._int_equations:
+        vals = _excesses(row, xverts)
+        if (min(vals) >= 0 or max(vals) <= 0) and any(vals):
             return True
-    pts = obj.closure_vertices
-    for a, b in x.ambient_facet_rows:
-        if all(dot(a, p) >= b for p in pts):
+    pts = obj._int_vertices
+    for row in x._int_facet_rows:
+        if min(_excesses(row, pts)) >= 0:
             return True
-    for a, b in x.ambient_equations:
-        vals = [dot(a, p) - b for p in pts]
-        if all(v > 0 for v in vals) or all(v < 0 for v in vals):
+    for row in x._int_equations:
+        vals = _excesses(row, pts)
+        if min(vals) > 0 or max(vals) < 0:
             return True
     return False
 
@@ -593,7 +686,9 @@ def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
     for a, b in obj.ambient_facet_rows:
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         if all(c == 0 for c in a_loc):
-            if b_loc < 0:
+            # x's carrier lies outside the row, or in its hyperplane, which
+            # the open obj excludes
+            if b_loc < 0 or (b_loc == 0 and not closed):
                 return False
             continue
         rows.append((a_loc, b_loc))
@@ -611,7 +706,7 @@ def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool
     inside every facet (constant true).  Otherwise it is non-constant
     exactly when x still meets obj.
     """
-    return all(obj.closure_contains(v) for v in x.closure_vertices) or not meets(x, obj, closed)
+    return _within_closure(x, obj) or not meets(x, obj, closed)
 
 
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:

@@ -102,7 +102,8 @@ def render_svg(doc: StratificationDocument, label_densities: bool = False) -> st
             )
             parts.append(f'<polygon points="{coords}" fill="{fill}" stroke="none"/>')
     for st in edges:
-        for cell in st.cells:
+        # an edge stratum may also hold 0-dimensional pieces glued into it
+        for cell in (c for c in st.cells if c.dim == 1):
             (x1, y1), (x2, y2) = (mapper.map(p, k) for p in cell.closure_vertices[:2])
             parts.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '

@@ -17,7 +17,15 @@ from typing import Sequence
 from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
-from .polyhedron import RelOpenCell, _bbox_disjoint, cell_key, meets, uncovered_point
+from .polyhedron import (
+    RelOpenCell,
+    _bbox_disjoint,
+    _cells_bbox,
+    _within_closure,
+    cell_key,
+    meets,
+    uncovered_point,
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,7 @@ def stratify(c: PiecewiseAffineCover) -> Stratification:
         attach_edges = []
         for li in lowers:
             low = cells[li]
-            containing = [
-                ti
-                for ti in tops
-                if all(cells[ti].closure_contains(v) for v in low.closure_vertices)
-            ]
+            containing = [ti for ti in tops if _within_closure(low, cells[ti])]
             if not containing:
                 raise NonIntegrable(
                     "group piece of positive codimension not glued to any top piece"
@@ -134,9 +138,7 @@ def stratify(c: PiecewiseAffineCover) -> Stratification:
 
 def _cell_inside_closure(sigma: RelOpenCell, stratum: Stratum) -> bool:
     """sigma ⊆ Cl(stratum); complete for cells of one common refinement."""
-    return any(
-        all(t.closure_contains(v) for v in sigma.closure_vertices) for t in stratum.cells
-    )
+    return any(_within_closure(sigma, t) for t in stratum.cells)
 
 
 def _frontier_pairs(strata: Sequence[Stratum]) -> tuple[tuple[int, int], ...]:
@@ -171,15 +173,10 @@ class FrontierReport:
         return not self.violations
 
 
-def _stratum_bbox(st: Stratum):
-    los, his = zip(*(c.bbox for c in st.cells))
-    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-
-
 def verify_frontier(s: Stratification) -> FrontierReport:
     """Exhaustive exact check of the frontier condition on all stratum pairs."""
     violations = []
-    boxes = {st.id: _stratum_bbox(st) for st in s.strata}
+    boxes = {st.id: _cells_bbox(st.cells) for st in s.strata}
     for up in s.strata:
         for lo in s.strata:
             if lo.id == up.id:

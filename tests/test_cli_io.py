@@ -213,6 +213,25 @@ def test_cli_render_unsupported_dimension(tmp_path):
     assert run_cli("render", str(strat)) == 6
 
 
+def _renderable_inputs():
+    """Toric specs with k <= 2 under inputs/ and bench/inputs/."""
+    bench = INPUTS.parent / "bench" / "inputs"
+    for path in sorted(INPUTS.glob("*.json")) + sorted(bench.glob("*/[0-9]*.json")):
+        data = json.loads(path.read_text())
+        if "subtorus_matrix" in data and len(data["subtorus_matrix"][0]) <= 2:
+            yield pytest.param(path, id=path.name)
+
+
+@pytest.mark.parametrize("path", list(_renderable_inputs()))
+def test_cli_render_every_planar_input(tmp_path, path):
+    # an edge stratum may hold 0-dimensional pieces (corpus 1008 has some)
+    for command in ("stratify", "dh"):
+        doc = tmp_path / f"{command}.json"
+        assert run_cli(command, str(path), "--seed", "0", "--out", str(doc)) == 0
+        for labels in ((), ("--labels",)):
+            assert run_cli("render", str(doc), *labels, "--out", str(tmp_path / "out.svg")) == 0
+
+
 def test_cli_render_square_identity(tmp_path):
     strat = tmp_path / "strat.json"
     run_cli("stratify", str(INPUTS / "square_identity.json"), "--out", str(strat))

@@ -22,6 +22,7 @@ from momstrat.polyhedron import (
     closure_faces,
     hpolytope_from_points,
     is_bounded,
+    meets,
     split_cell,
 )
 from support import (
@@ -345,6 +346,23 @@ def test_project_relint_direction_is_projected_face_direction():
         cell = project_relint(f, B_T)
         pushed = row_space_basis(mat([mat_vec(B_T, d) for d in f.affine_hull.directions]))
         assert cell.carrier.directions == pushed
+
+
+def test_meets_open_cell_excludes_its_facet_hyperplane():
+    # the segment {1} x [0, 1] lies in the facet line u = 1 of the box
+    seg = segment_cell([1, 0], [1, 1])
+    box = box_cell([[0, 0], [0, 2], [1, 0], [1, 2]])
+    assert not meets(seg, box, closed=False)
+    assert meets(seg, box, closed=True)
+
+
+def test_cell_from_closure_points_is_exact():
+    cell = cell_from_closure_points([[1, 0], [1, 1]])
+    assert cell == cell_from_closure_points([["1", "0"], ["1", "1"]]) == segment_cell([1, 0], [1, 1])
+    assert all(type(c) is Fraction for row in cell.carrier.directions for c in row)
+    assert all(type(c) is Fraction for v in cell.closure_vertices for c in v)
+    with pytest.raises(TypeError):
+        cell_from_closure_points([[1.0, 0], [1, 1]])
 
 
 def test_cell_contains_dimension_mismatch():
