@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="input file path")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=seed, help="deterministic seed")
-        p.add_argument("--samples", type=int, default=5, help="sample count for sampled checks")
 
     p = sub.add_parser("validate-cover", help="check the piecewise-affine cover axioms")
     common(p)
@@ -197,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--point", default=None, help="comma-separated rational coordinates")
     p.add_argument("--trials", type=int, default=100000, help="Monte-Carlo trials per point")
+    p.add_argument("--samples", type=int, default=5, help="points drawn across the chambers without --point")
     p.set_defaults(func=cmd_oracle)
     return parser
 

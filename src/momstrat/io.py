@@ -175,8 +175,19 @@ def _subspace2j(s: AffineSubspace) -> dict:
     }
 
 
-def _j2subspace(data) -> AffineSubspace:
-    return AffineSubspace(_j2vec(data["base"]), _j2mat(data["directions"]), _int(data["ambient_dim"]))
+def _sized(v, n: int, what: str):
+    """v, after checking that it has n coordinates."""
+    if len(v) != n:
+        raise ParseError(f"{what} has {len(v)} coordinates, the document {n}")
+    return v
+
+
+def _j2subspace(data, n: int) -> AffineSubspace:
+    if _int(data["ambient_dim"]) != n:
+        raise ParseError(f"carrier of ambient dimension {data['ambient_dim']} in a document of {n}")
+    base = _sized(_j2vec(data["base"]), n, "carrier base")
+    directions = mat(_sized(r, n, "carrier direction") for r in _j2mat(data["directions"]))
+    return AffineSubspace(base, directions, n)
 
 
 def _cell2j(c: RelOpenCell) -> dict:
@@ -188,13 +199,14 @@ def _cell2j(c: RelOpenCell) -> dict:
     }
 
 
-def _j2cell(data) -> RelOpenCell:
+def _j2cell(data, n: int) -> RelOpenCell:
+    verts = _j2mat(_nonempty(data["closure_vertices"], "closure_vertices"))
     return RelOpenCell(
-        _j2subspace(data["carrier"]),
+        _j2subspace(data["carrier"], n),
         _j2mat(data["inequalities"]["A"]),
         _j2vec(data["inequalities"]["b"]),
         tuple(tuple(_int(i) for i in f) for f in data["excluded_faces"]),
-        _j2mat(_nonempty(data["closure_vertices"], "closure_vertices")),
+        mat(_sized(v, n, "closure vertex") for v in verts),
     )
 
 
@@ -254,6 +266,7 @@ def parse_document(raw: bytes) -> StratificationDocument:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_STRATIFICATION:
         raise ParseError("unknown or missing stratification schema")
     try:
+        n = _int(data["ambient_dim"])
         strata = []
         densities = {}
         for entry in _nonempty(data["strata"], "strata"):
@@ -263,8 +276,8 @@ def parse_document(raw: bytes) -> StratificationDocument:
             st = Stratum(
                 _int(entry["id"]),
                 _j2mat(entry["direction"]),
-                _j2subspace(entry["carrier"]),
-                tuple(_j2cell(c) for c in _nonempty(entry["cells"], "cells")),
+                _j2subspace(entry["carrier"], n),
+                tuple(_j2cell(c, n) for c in _nonempty(entry["cells"], "cells")),
                 _int(entry["dim"]),
                 tuple(tuple(_int(i) for i in e) for e in entry["adjacency"]),
                 integer_direction,
@@ -272,11 +285,14 @@ def parse_document(raw: bytes) -> StratificationDocument:
             strata.append(st)
             if "density" in entry:
                 densities[st.id] = _j2density(entry["density"])
-        s = Stratification(
-            tuple(strata),
-            tuple(tuple(_int(i) for i in p) for p in data["frontier"]),
-            _int(data["ambient_dim"]),
-        )
+        ids = {st.id for st in strata}
+        frontier = tuple(tuple(_int(i) for i in p) for p in data["frontier"])
+        for pair in frontier:
+            if len(pair) != 2 or not ids.issuperset(pair):
+                raise ParseError(f"frontier pair {list(pair)} does not name two strata")
+        s = Stratification(tuple(strata), frontier, n)
+        if not isinstance(data["provenance"], dict):
+            raise ParseError("provenance must be an object")
         prov = tuple(sorted((str(k), str(v)) for k, v in data["provenance"].items()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed stratification file: {exc}") from exc

@@ -2,16 +2,23 @@
 
 All geometry is desk scale (ambient dimension <= 8, handfuls of facets), so
 the algorithms favour transparent exactness over asymptotics: vertices come
-from exhaustive tight-set basis enumeration, facets of a point set from
-exhaustive hyperplane enumeration, feasibility from Fourier-Motzkin.
+from exhaustive tight-set basis enumeration, feasibility from Fourier-Motzkin.
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
-carrier-local coordinates, and the excluded proper faces (the facets).  Cells
-are constructed canonically from the vertex set of their closure, so equal
-cells have bit-identical encodings.  The faces of a cell's closure are cells
-too, built the same way; the refinement and frontier tests read one as a
-closed set through an explicit ``closed`` flag.
+carrier-local coordinates, and the excluded proper faces (the facets).  Every
+cell is built by one private builder, ``_cell``, from the vertex set of its
+closure and candidate rows among which its facets lie: it keeps the rows
+that hold on every point and are tight on a maximal set of them, so equal
+cells have bit-identical encodings whatever the candidates.  Callers pass
+the rows they already hold: ``split_cell`` the cell's facet rows and the
+cut, ``closure_faces`` the facet rows of the closure a face came from,
+``common_refinement`` the rows of the polytope.  Only
+``cell_from_closure_points`` (and so ``hpolytope_from_points``, which reads
+its rows off that cell) tries every hyperplane through d affinely
+independent points.  The faces of a cell's closure are cells too; the
+refinement and frontier tests read one as a closed set through an explicit
+``closed`` flag.
 
 This module alone decides cell membership:
 
@@ -21,7 +28,10 @@ This module alone decides cell membership:
   closure vertices;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
   both the refinement (through ``_membership_constant``) and the frontier
-  check call;
+  check call.  The refinement's pieces are plain cells with no record of
+  their signs: ``meets`` itself tells a piece that misses an object, being
+  strictly outside a facet or off the carrier (``_closures_separated``) or
+  inside a facet hyperplane of an open object (its zero-row test);
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None.
 
@@ -35,9 +45,11 @@ these forms beside its ``Fraction`` data (``_int_equations``,
 ``_int_facet_rows``, ``_int_vertices`` and ``bbox``, whose corners share the
 vertices' denominator, so a box test is one cross-multiplication per
 coordinate).  They serve the point tests, the box tests, ``_within_closure``,
-``_closures_separated`` and the vertex classification when cells are built
-and split.  Crossing points, carriers, restricted rows, ``enumerate_vertices``
-(and so the last step of ``meets``) and everything returned stay ``Fraction``.
+``_closures_separated``, and the tight sets of ``_cell`` and ``split_cell``.
+Those are bit sets of points, so facets, vertices and edges are read off by
+set inclusion, with no rank.  Crossing points, carriers, restricted rows,
+``enumerate_vertices`` (and so the last step of ``meets``) and everything
+returned stay ``Fraction``.
 
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
@@ -50,9 +62,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
@@ -64,7 +76,6 @@ from .linalg import (
     Vec,
     add,
     dot,
-    identity,
     mat,
     mat_vec,
     nullspace,
@@ -226,27 +237,6 @@ def vertices(p: HPolytope) -> list[Vec]:
     return vs
 
 
-def facets_from_points(points: Sequence[Vec], dim: int) -> list[Functional]:
-    """Canonical facet rows of the full-dimensional conv(points) in R^dim."""
-    if dim == 0:
-        return []
-    facets: set[Functional] = set()
-    for subset in itertools.combinations(points, dim):
-        p0 = subset[0]
-        diffs = mat(sub(q, p0) for q in subset[1:])
-        normals = nullspace(diffs, dim) if diffs else identity(dim)
-        if len(normals) != 1:
-            continue
-        a = normals[0]
-        beta = dot(a, p0)
-        vals = [dot(a, q) - beta for q in points]
-        if all(v <= 0 for v in vals):
-            facets.add(_canon_row((a, beta)))
-        elif all(v >= 0 for v in vals):
-            facets.add(_canon_row((tuple(-x for x in a), -beta)))
-    return sorted(facets)
-
-
 def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Functional:
     """Ambient functional agreeing with a_loc.t <= b_loc on the carrier.
 
@@ -266,20 +256,6 @@ def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Fu
 def _restrict_functional(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Functional:
     """Carrier-local form of the ambient functional a.x <= beta."""
     return tuple(dot(a, row) for row in carrier.directions), beta - dot(a, carrier.base)
-
-
-def hpolytope_from_points(points: Sequence[Vec]) -> HPolytope:
-    """Ambient H-description of conv(points) (affine hull as paired rows)."""
-    points = sorted(set(tuple(p) for p in points))
-    hull = AffineSubspace.from_points(list(points))
-    rows: list[Functional] = []
-    for a, beta in hull.equations():
-        rows.append(_canon_row((a, beta)))
-        rows.append(_canon_row((tuple(-x for x in a), -beta)))
-    local = [hull.to_local(p) for p in points]
-    for a_loc, b_loc in facets_from_points(local, hull.dim):
-        rows.append(_canon_row(_lift_functional(hull, a_loc, b_loc)))
-    return HPolytope(mat(r[0] for r in rows), vec(r[1] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -462,36 +438,66 @@ class RelOpenCell:
         return pts
 
 
-def _canonical_cell(
-    pts: list[Vec], carrier: AffineSubspace, local: list[Vec], rows: Iterable[Functional]
-) -> RelOpenCell:
-    """The cell over the sorted distinct closure points ``pts`` (``local`` in
-    carrier coordinates) given its facet rows: rows sorted, and the points at
-    which d independent rows are tight kept as the closure vertices."""
-    d = carrier.dim
-    rows = sorted(rows)
-    if d == 0:
-        verts = pts
-    else:
-        int_local = _int_points(local)
-        tight = [[v == 0 for v in _excesses(_int_row(r), int_local)] for r in rows]
-        verts = []
-        for i, p in enumerate(pts):
-            active = mat(a for (a, _), t in zip(rows, tight) if t[i])
-            if active and rank(active) == d:
-                verts.append(p)
-    a = mat(r[0] for r in rows)
-    b = vec(r[1] for r in rows)
-    excluded = tuple((i,) for i in range(len(rows)))
-    return RelOpenCell(carrier, a, b, excluded, mat(sorted(verts)))
+def _hyperplanes(local: Sequence[Vec], d: int) -> Iterable[Functional]:
+    """Every hyperplane through d affinely independent points of ``local``."""
+    for p0, *rest in itertools.combinations(local, d) if d else ():
+        normals = nullspace(tuple(sub(q, p0) for q in rest), d)
+        if len(normals) == 1:
+            yield normals[0], dot(normals[0], p0)
+
+
+def _smallest_face(facets: Iterable[int], points: int, count: int) -> int:
+    """The smallest face of conv(points 0..count-1) holding ``points``: the
+    meet of the facets through them, all as bit sets of points."""
+    return reduce(and_, (t for t in facets if t & points == points), (1 << count) - 1)
+
+
+def _cell(points: Iterable[Vec], candidates: Iterable[Functional] | None) -> RelOpenCell:
+    """The canonical cell whose closure is conv(points).
+
+    The candidates are ambient rows among which every facet of conv(points)
+    lies; None means every hyperplane through d affinely independent points,
+    found and tested in carrier coordinates.  A candidate that holds on every
+    point and is tight on some cuts out a face, and every face lies in a
+    facet, so the facets are the candidates tight on a maximal set of points;
+    they are restricted to the carrier, oriented and sorted.  A point is a
+    closure vertex when the facets through it meet in it alone.
+    """
+    pts = sorted(set(points))
+    carrier = AffineSubspace.from_points(pts)
+    local = [carrier.to_local(p) for p in pts]
+    scan = candidates is None
+    frame = _int_points(local if scan else pts)
+    faces: dict[int, tuple[Functional, bool]] = {}  # tight points as a bit set -> (row, holds as is)
+    for f in _hyperplanes(local, carrier.dim) if scan else candidates:
+        vals = _excesses(_int_row(f), frame)
+        lo, hi = min(vals), max(vals)
+        if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
+            faces.setdefault(sum(1 << i for i, v in enumerate(vals) if v == 0), (f, hi == 0))
+    rows: dict[Functional, int] = {}
+    for tight, (f, holds) in faces.items():
+        if any(t != tight and t & tight == tight for t in faces):
+            continue  # a face inside a larger one
+        a, b = f if scan else _restrict_functional(carrier, *f)
+        rows[_canon_row((a, b) if holds else (tuple(-c for c in a), -b))] = tight
+    order = sorted(rows)
+    verts = [p for i, p in enumerate(pts) if _smallest_face(rows.values(), 1 << i, len(pts)) == 1 << i]
+    excluded = tuple((i,) for i in range(len(order)))
+    return RelOpenCell(carrier, mat(r[0] for r in order), vec(r[1] for r in order), excluded, mat(verts))
 
 
 def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
-    """Canonical cell whose closure is conv(points)."""
-    pts = sorted(set(vec(p) for p in points))
-    carrier = AffineSubspace.from_points(pts)
-    local = [carrier.to_local(p) for p in pts]
-    return _canonical_cell(pts, carrier, local, facets_from_points(local, carrier.dim))
+    """Canonical cell whose closure is conv(points), its facets found among
+    the hyperplanes through the points."""
+    return _cell((vec(p) for p in points), None)
+
+
+def hpolytope_from_points(points: Sequence[Vec]) -> HPolytope:
+    """Ambient H-description of conv(points) (affine hull as paired rows)."""
+    cell = cell_from_closure_points(points)
+    rows = [r for a, b in cell.ambient_equations for r in ((a, b), (tuple(-c for c in a), -b))]
+    rows += cell.ambient_facet_rows
+    return HPolytope(mat(r[0] for r in rows), vec(r[1] for r in rows))
 
 
 def cell_key(c: RelOpenCell):
@@ -516,36 +522,6 @@ def cell_contains(c: RelOpenCell, x) -> bool:
 # splitting cells by hyperplanes
 
 
-def _cell_from_split(points: list[Vec], candidates: list[Functional]) -> RelOpenCell:
-    """Canonical cell from closure points when an ambient superset of the
-    facet hyperplanes is already known (much cheaper than re-enumeration)."""
-    pts = sorted(set(tuple(p) for p in points))
-    carrier = AffineSubspace.from_points(pts)
-    d = carrier.dim
-    local_pts = [carrier.to_local(p) for p in pts]
-    if d == 0:
-        return _canonical_cell(pts, carrier, local_pts, ())
-    int_pts = _int_points(pts)
-    rows: set[Functional] = set()
-    for a, beta in candidates:
-        # the points span the carrier, so a row constant on them restricts to zero
-        vals = _excesses(_int_row((a, beta)), int_pts)
-        lo, hi = min(vals), max(vals)
-        if lo == hi or (lo < 0 < hi):
-            continue
-        a_loc, b_loc = _restrict_functional(carrier, a, beta)
-        row = _canon_row((a_loc, b_loc) if hi <= 0 else (tuple(-c for c in a_loc), -b_loc))
-        if row in rows:
-            continue
-        tight = mat(t for t, v in zip(local_pts, vals) if v == 0)
-        if not tight:
-            continue
-        diffs = mat(sub(t, tight[0]) for t in tight[1:])
-        if rank(diffs) == d - 1:
-            rows.add(row)
-    return _canonical_cell(pts, carrier, local_pts, rows)
-
-
 def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
     """Split a cell by the hyperplane {a.x = beta}.
 
@@ -561,20 +537,15 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
         if not negs and not poss:
             return {0: cell}
         return {-1 if negs else 1: cell}
-    d = cell.dim
     local_pts = list(cell.local_vertices)
-    rows = cell.local_rows()
-    # tight[r]: the vertices on facet row r; the lifted rows agree with the local ones
-    tight = [[v == 0 for v in _excesses(r, verts)] for r in cell._int_facet_rows]
+    facets = [sum(1 << i for i, v in enumerate(_excesses(r, verts)) if v == 0) for r in cell._int_facet_rows]
     crossings: list[Vec] = []
     for i in negs:
         u, vu = local_pts[i], vals[i]
         for j in poss:
+            if _smallest_face(facets, 1 << i | 1 << j, len(vals)) != 1 << i | 1 << j:
+                continue  # no edge joins the two vertices
             w, vw = local_pts[j], vals[j]
-            if d > 1:
-                active = mat(ar for (ar, _), t in zip(rows, tight) if t[i] and t[j])
-                if not active or rank(active) != d - 1:
-                    continue
             # the excesses share one positive scale, so their ratio is exact
             lam = Fraction(vu, vu - vw)
             crossings.append(add(u, scale(sub(w, u), lam)))
@@ -583,11 +554,7 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
     lo = [to_amb(p) for p, v in zip(local_pts, vals) if v <= 0] + [to_amb(t) for t in crossings]
     hi = [to_amb(p) for p, v in zip(local_pts, vals) if v >= 0] + [to_amb(t) for t in crossings]
     mid = [to_amb(p) for p, v in zip(local_pts, vals) if v == 0] + [to_amb(t) for t in crossings]
-    return {
-        -1: _cell_from_split(lo, candidates),
-        0: _cell_from_split(mid, candidates),
-        1: _cell_from_split(hi, candidates),
-    }
+    return {-1: _cell(lo, candidates), 0: _cell(mid, candidates), 1: _cell(hi, candidates)}
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +564,15 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
 def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     """Every nonempty face of the closure of some given cell, the closures
     themselves included, each as the canonical cell that is its relative
-    interior.  A face shared by several closures is built once."""
-    faces: set[tuple[Vec, ...]] = set()
+    interior.  A face's facets lie on facets of the closure it came from, so
+    those rows are its candidates; a face shared by several closures is
+    built once."""
+    faces: dict[tuple[Vec, ...], RelOpenCell] = {}
     for cell in cells:
         tight = tight_sets(cell.local_rows(), cell.local_vertices)
         for s in _faces_by_incidence(tight, len(cell.closure_vertices)):
-            faces.add(tuple(cell.closure_vertices[i] for i in sorted(s)))
-    return [cell_from_closure_points(points) for points in sorted(faces)]
+            faces.setdefault(tuple(cell.closure_vertices[i] for i in sorted(s)), cell)
+    return [_cell(points, faces[points].ambient_facet_rows) for points in sorted(faces)]
 
 
 # ---------------------------------------------------------------------------
@@ -714,21 +683,6 @@ def _object_functionals(obj: RelOpenCell) -> list[Functional]:
     return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
 
 
-def _object_sign_table(obj: RelOpenCell, closed: bool) -> list[tuple[Functional, tuple[int, ...]]]:
-    """(cut, allowed signs) pairs: a piece whose recorded sign for some cut
-    falls outside the allowed set cannot meet the object."""
-    table = []
-    for a, b in obj.ambient_equations:
-        table.append((_canon_cut((a, b)), (0,)))
-    for a, b in obj.ambient_facet_rows:
-        cut = _canon_cut((a, b))
-        flipped = cut != _canon_row((a, b))
-        good = 1 if flipped else -1
-        allowed = (good, 0) if closed else (good,)
-        table.append((cut, allowed))
-    return table
-
-
 def uncovered_point(x: RelOpenCell, closures: Sequence[RelOpenCell]) -> Vec | None:
     """A point of x outside every Cl(t) for t in ``closures``, or None when
     x lies in their union.  x is split by the defining hyperplanes of the
@@ -760,6 +714,16 @@ def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional
     return cuts
 
 
+def _distinct(cells: Iterable[RelOpenCell]) -> dict:
+    """The cells by ``cell_key``, each kept as first seen: overlapping regions
+    give identical classes, and a cell that a cut left intact keeps the data
+    it has cached."""
+    out: dict = {}
+    for c in cells:
+        out.setdefault(cell_key(c), c)
+    return out
+
+
 def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     """Refine the regions until membership in every cell and in every face of
     every cell's closure is constant per piece.
@@ -773,50 +737,21 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
     objects = list(dict.fromkeys((c, False) for c in cells))
     objects += [(face, True) for face in closure_faces(cells)]
     obj_funcs = [frozenset(_object_functionals(obj)) for obj, _ in objects]
-    obj_tables = [_object_sign_table(obj, closed) for obj, closed in objects]
     cuts: set[Functional] = _initial_cuts(objects)
-    pieces: list[tuple[RelOpenCell, dict[Functional, int]]] = []
-    seen_pieces: set = set()
-    for r in regions:
-        key = cell_key(r)
-        if key not in seen_pieces:
-            seen_pieces.add(key)
-            pieces.append((r, {}))
+    pieces = _distinct(regions)
     pending = sorted(cuts)
     while True:
         for cut in pending:
-            split: list[tuple[RelOpenCell, dict[Functional, int]]] = []
-            seen_pieces = set()
-            for cell, signs in pieces:
-                for sgn, sub_cell in split_cell(cell, cut).items():
-                    key = cell_key(sub_cell)
-                    if key in seen_pieces:
-                        continue  # overlapping regions produce identical classes
-                    seen_pieces.add(key)
-                    stamped = dict(signs)
-                    stamped[cut] = sgn
-                    split.append((sub_cell, stamped))
-            pieces = split
+            pieces = _distinct(c for p in pieces.values() for c in split_cell(p, cut).values())
         demands: set[Functional] = set()
-        for (obj, closed), funcs, table in zip(objects, obj_funcs, obj_tables):
+        for (obj, closed), funcs in zip(objects, obj_funcs):
             if funcs <= cuts:
                 continue  # fully sign-determined: membership constant per piece
-            for cell, signs in pieces:
-                excluded = False
-                for cut, allowed in table:
-                    sgn = signs.get(cut)
-                    if sgn is not None and sgn not in allowed:
-                        excluded = True
-                        break
-                if excluded:
-                    continue
-                if not _membership_constant(cell, obj, closed):
-                    demands |= funcs
-                    break
+            if not all(_membership_constant(p, obj, closed) for p in pieces.values()):
+                demands |= funcs
         new = demands - cuts
         if not new:
-            dedup = {cell_key(p): p for p, _ in pieces}
-            return [dedup[k] for k in sorted(dedup)]
+            return [pieces[k] for k in sorted(pieces)]
         cuts |= new
         pending = sorted(new)
 
@@ -830,7 +765,8 @@ def common_refinement(cells: Sequence[RelOpenCell], within) -> list[RelOpenCell]
     boundary faces included).
     """
     if isinstance(within, HPolytope):
-        regions = [cell_from_closure_points(list(f.vertex_coords)) for f in within.lattice.nonempty_faces()]
+        rows = list(zip(within.A, within.b))
+        regions = [_cell(f.vertex_coords, rows) for f in within.lattice.nonempty_faces()]
     else:
         regions = [within]
     n = regions[0].ambient_dim

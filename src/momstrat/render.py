@@ -95,7 +95,8 @@ def render_svg(doc: StratificationDocument, label_densities: bool = False) -> st
     dots = [st for st in s.strata if st.dim == 0]
     for idx, st in enumerate(chambers):
         fill = _CHAMBER_FILLS[idx % len(_CHAMBER_FILLS)]
-        for cell in st.cells:
+        # a chamber may also hold 1-dimensional pieces glued into it
+        for cell in (c for c in st.cells if c.dim == 2):
             ring = _ring_order(list(cell.closure_vertices))
             coords = " ".join(
                 f"{_fmt(px)},{_fmt(py)}" for px, py in (mapper.map(p, k) for p in ring)

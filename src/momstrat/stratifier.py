@@ -55,11 +55,20 @@ class Stratification:
     ambient_dim: int
 
 
+def _point(x: Vec) -> str:
+    return "(" + ", ".join(map(str, x)) + ")"
+
+
 def compute_d_field(c: PiecewiseAffineCover) -> tuple[tuple[RelOpenCell, Mat], ...]:
     """Refine the support and intersect member directions along signatures:
     (piece, direction space) pairs sorted by piece."""
-    if not c.validation.valid:
-        raise InvalidCover("cover fails the closure condition")
+    report = c.validation
+    if not report.valid:
+        bad = report.member_reports[report.offending_members()[0]]
+        raise InvalidCover(
+            f"cover fails the closure condition: the closure of member {bad.member_index} "
+            f"holds {_point(bad.uncovered_witness)}, which no member inside it covers"
+        )
     entries = []
     for piece in c.pieces:
         sig = membership_signature(c, piece.sample_point())
@@ -80,7 +89,8 @@ def stratify(c: PiecewiseAffineCover) -> Stratification:
         translate = _translate_through(piece, direction)
         if not all(translate.contains(v) for v in piece.closure_vertices):
             raise NonIntegrable(
-                "refined piece leaves the translate of its direction space"
+                f"refined piece at {_point(piece.sample_point())} "
+                "leaves the translate of its direction space"
             )
         groups.setdefault(translate, []).append((piece, direction))
 
@@ -110,7 +120,8 @@ def stratify(c: PiecewiseAffineCover) -> Stratification:
             containing = [ti for ti in tops if _within_closure(low, cells[ti])]
             if not containing:
                 raise NonIntegrable(
-                    "group piece of positive codimension not glued to any top piece"
+                    f"group piece of positive codimension at {_point(low.sample_point())} "
+                    "not glued to any top piece"
                 )
             for ti in containing:
                 union(li, ti)

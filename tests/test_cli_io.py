@@ -224,12 +224,19 @@ def _renderable_inputs():
 
 @pytest.mark.parametrize("path", list(_renderable_inputs()))
 def test_cli_render_every_planar_input(tmp_path, path):
-    # an edge stratum may hold 0-dimensional pieces (corpus 1008 has some)
+    # a stratum may hold pieces of lower dimension glued into it (corpus 1008 has
+    # some); only the chambers' 2-dimensional cells are drawn as polygons
     for command in ("stratify", "dh"):
         doc = tmp_path / f"{command}.json"
         assert run_cli(command, str(path), "--seed", "0", "--out", str(doc)) == 0
+        strata = json.loads(doc.read_text())["strata"]
+        chamber_cells = sum(
+            len(c["carrier"]["directions"]) == 2 for st in strata if st["dim"] == 2 for c in st["cells"]
+        )
         for labels in ((), ("--labels",)):
-            assert run_cli("render", str(doc), *labels, "--out", str(tmp_path / "out.svg")) == 0
+            svg = tmp_path / "out.svg"
+            assert run_cli("render", str(doc), *labels, "--out", str(svg)) == 0
+            assert svg.read_text().count("<polygon") == chamber_cells
 
 
 def test_cli_render_square_identity(tmp_path):
@@ -317,6 +324,17 @@ def _paper_document(**first_stratum):
     return doc
 
 
+def _paper_document_with(value, *path):
+    """The paper document with the entry at ``path`` replaced by ``value``."""
+    doc = _paper_document()
+    *head, last = path
+    part = doc
+    for key in head:
+        part = part[key]
+    part[last] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, payload, options",
     [
@@ -331,6 +349,25 @@ def _paper_document(**first_stratum):
         pytest.param("render", _paper_document(cells=[]), (), id="empty-cells"),
         pytest.param("render", _paper_document(dim=0.0), (), id="float-stratum-dim"),
         pytest.param("render", [1, 2], (), id="non-object-document"),
+        pytest.param(
+            "render",
+            _paper_document_with(["1"], "strata", 0, "cells", 0, "closure_vertices", 0),
+            (),
+            id="short-closure-vertex",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with([], "strata", 0, "cells", 0, "carrier", "base"),
+            (),
+            id="empty-carrier-base",
+        ),
+        pytest.param(
+            "render", _paper_document_with([], "strata", 0, "carrier", "base"), (), id="empty-stratum-base"
+        ),
+        pytest.param("render", _paper_document_with(["x"], "provenance"), (), id="non-object-provenance"),
+        pytest.param(
+            "render", _paper_document_with([0, 999], "frontier", 0), (), id="frontier-unknown-stratum"
+        ),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),
     ],

@@ -131,3 +131,11 @@ def test_closures_separated_implies_no_meeting(x, j):
     obj = same[j % len(same)]
     if _closures_separated(x, obj):
         assert not reference_meets_closure(x, obj)
+
+
+def test_known_rows_and_hyperplane_scan_build_the_same_cells():
+    # pieces come from facet rows and cuts, closure faces from the closure's
+    # facet rows; the scan tries every hyperplane through the closure vertices
+    assert len(pool()) == 344
+    for cell in pool():
+        assert cell == cell_from_closure_points(cell.closure_vertices)

@@ -1,6 +1,8 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,10 @@ from momstrat import (
     verify_frontier,
     verify_tangent_condition,
 )
-from momstrat.errors import InvalidCover
-from momstrat.linalg import add, identity, scale
+from momstrat import stratifier
+from momstrat.errors import InvalidCover, NonIntegrable
+from momstrat.io import parse_input_file
+from momstrat.linalg import AffineSubspace, add, identity, scale
 from momstrat.stratifier import Stratification, Stratum
 from momstrat.toric import momentum_cover
 from support import (
@@ -23,6 +27,8 @@ from support import (
     segment_cell,
     square_identity_action,
 )
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 F = Fraction
 
@@ -276,3 +282,26 @@ def test_strata_partition_support():
     for x in pts:
         owners = [st.id for st in s.strata if st.contains(x)]
         assert len(owners) == 1
+
+
+def test_invalid_cover_error_names_member_and_witness():
+    cover = parse_input_file((INPUTS / "counterexample_cover.json").read_bytes())
+    with pytest.raises(InvalidCover, match=r"closure of member 0 holds \(0, 0\)"):
+        compute_d_field(cover)
+
+
+def test_non_integrable_errors_name_the_piece(monkeypatch):
+    # the carrier x = 1 of the second segment cuts the first at the lower piece (1, 0)
+    cover = PiecewiseAffineCover.make(
+        [segment_cell([0, 0], [2, 0]), segment_cell([1, 1], [1, 2])]
+        + [point_cell(p) for p in ([0, 0], [2, 0], [1, 1], [1, 2])]
+    )
+    first = compute_d_field(cover)[0][0].sample_point()
+    far = AffineSubspace.from_points([(F(-7), F(-7))])
+    with monkeypatch.context() as m:
+        m.setattr(stratifier, "_translate_through", lambda piece, direction: far)
+        with pytest.raises(NonIntegrable, match=re.escape(f"piece at ({first[0]}, {first[1]}) leaves")):
+            stratify(cover)
+    monkeypatch.setattr(stratifier, "_within_closure", lambda x, obj: False)
+    with pytest.raises(NonIntegrable, match=re.escape("codimension at (1, 0) not glued")):
+        stratify(cover)
