@@ -87,11 +87,11 @@ def validate(c: PiecewiseAffineCover) -> ValidationReport:
         contained = tuple(j for j, q in enumerate(c.members) if _within_closure(q, p))
         witness = None
         for piece in pieces:
-            s = piece.sample_point()
-            if not p.closure_contains(s):
+            s = piece._int_sample  # converted once per piece, shared by every member
+            if not p._holds(s, strict=False):
                 continue
-            if not any(c.members[j].contains(s) for j in contained):
-                witness = s
+            if not any(c.members[j]._holds(s, strict=True) for j in contained):
+                witness = piece.sample_point()
                 break
         covered = witness is None
         valid = valid and covered
@@ -101,8 +101,8 @@ def validate(c: PiecewiseAffineCover) -> ValidationReport:
 
 def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
     """The exact index set {i : x in P_i}; raises when x misses the support."""
-    point = vec(x)
-    sig = tuple(i for i, m in enumerate(c.members) if m.contains(point))
+    point = c.members[0]._int_point(vec(x))  # converted once, shared by every member
+    sig = tuple(i for i, m in enumerate(c.members) if m._holds(point, strict=True))
     if not sig:
         raise PointOutsideSupport(f"{x} lies in no cover member")
     return sig

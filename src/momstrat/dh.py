@@ -21,13 +21,14 @@ active on that vertex's face.
 
 The volume is exact and comes from a triangulation driven by vertex-facet
 incidence (Bueler-Enge-Fukuda, "Exact volume computation for polytopes"):
-each fiber row comes with the set of vertices it is tight at, and a
-face is handled as a set of vertex indices.  The facets of a face S are the
-maximal proper nonempty sets among the intersections of S with the row tight
-sets -- every facet of a face F is F meet some facet of the fiber, so this
-stays correct for redundant and repeated rows.  The fan from the least vertex
-of S over the facets that miss it is recursed into down to single vertices;
-only the resulting d-simplices touch coordinates, one exact determinant each.
+each fiber row comes with the vertices it is tight at, and a face is handled
+as a bit set of vertex indices.  The facets of a face come from
+``polyhedron._facets``, the routine the face lattice and the cells use: the
+maximal proper nonempty sets among the intersections of the face with the
+row tight sets, which stays correct for redundant and repeated rows.  The
+fan from the least vertex of a face over its facets that miss it is recursed
+into down to single vertices; only the resulting d-simplices touch
+coordinates, one exact determinant each.
 
 On each top-dimensional stratum the density is
 a polynomial of total degree at most n-k, recovered by exact interpolation
@@ -42,6 +43,7 @@ its own, by the exhaustive tight-basis scan over the fiber's rows.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +69,7 @@ from .linalg import (
     sub,
     vec,
 )
-from .polyhedron import Functional, enumerate_vertices
+from .polyhedron import Functional, _facets, enumerate_vertices
 from .stratifier import Stratification
 from .toric import ToricAction
 
@@ -88,13 +90,7 @@ class DensityPoly:
 
     def evaluate(self, x) -> Fraction:
         point = vec(x)
-        total = ZERO
-        for expo, coeff in self.coefficients:
-            term = coeff
-            for xi, e in zip(point, expo):
-                term *= xi**e
-            total += term
-        return total
+        return sum((c * _monomial(point, e) for e, c in self.coefficients), ZERO)
 
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
         for e, c in self.coefficients:
@@ -128,53 +124,37 @@ def _fiber_rows(a: ToricAction, x: Vec) -> tuple[list[Functional], Vec, Mat]:
     return rows, p, lattice
 
 
-def _incidence_fan(
-    tight: list[frozenset[int]], face: frozenset[int], memo: dict
-) -> list[tuple[int, ...]]:
-    """Fan triangulation of a face, as vertex-index simplices.
-
-    The facets of the face are the maximal proper nonempty sets among its
-    intersections with the row tight sets; the apex is the face's least
-    vertex index, and the facets that contain it are skipped.
-    """
-    if len(face) == 1:
-        return [tuple(face)]
-    if face in memo:
-        return memo[face]
-    apex = min(face)
-    candidates = sorted({face & t for t in tight} - {face, frozenset()}, key=len, reverse=True)
-    facets: list[frozenset[int]] = []
-    for c in candidates:
-        if not any(c < f for f in facets):
-            facets.append(c)
-    simplices = [
-        (apex,) + s for f in facets if apex not in f for s in _incidence_fan(tight, f, memo)
-    ]
-    memo[face] = simplices
-    return simplices
+def _incidence_fan(tight: Sequence[int], face: int, memo: dict) -> list[tuple[int, ...]]:
+    """Fan triangulation of a face, a bit set of vertex indices, as
+    vertex-index simplices: the apex is the face's least vertex index, and
+    the facets (``polyhedron._facets``) that contain it are skipped."""
+    apex = face & -face
+    if face == apex:
+        return [(apex.bit_length() - 1,)]
+    if face not in memo:
+        fans = (_incidence_fan(tight, f, memo) for f in _facets(face, tight) if not f & apex)
+        memo[face] = [(apex.bit_length() - 1,) + s for fan in fans for s in fan]
+    return memo[face]
 
 
-def polytope_volume(tight: Sequence[frozenset[int]], verts: list[Vec], d: int) -> Fraction:
+def polytope_volume(tight: Sequence[int], verts: list[Vec], d: int) -> Fraction:
     """Exact Euclidean d-volume of conv(verts) inside R^d.
 
     ``tight`` holds, for each of a set of valid inequalities of conv(verts)
     among which every facet appears (redundant and repeated ones are
-    harmless), the indices of the vertices at which it is tight -- e.g.
+    harmless), the vertices at which it is tight as a bit set -- e.g.
     ``tight_sets(rows, verts)`` for the H-rows the vertices came from.
     """
     if d == 0:
         return Fraction(1)
-    simplices = _incidence_fan(list(set(tight)), frozenset(range(len(verts))), {})
+    simplices = _incidence_fan(list(set(tight)), (1 << len(verts)) - 1, {})
     if len(simplices[0]) <= d:
         return ZERO  # the fan of an e-polytope is made of (e+1)-vertex simplices
     total = ZERO
     for simplex in simplices:
         v0 = verts[simplex[0]]
         total += abs(det([sub(verts[i], v0) for i in simplex[1:]]))
-    factorial = 1
-    for i in range(2, d + 1):
-        factorial *= i
-    return total / factorial
+    return total / math.factorial(d)
 
 
 def fiber_volume(a: ToricAction, x) -> FiberVolume:
@@ -188,12 +168,12 @@ def fiber_volume(a: ToricAction, x) -> FiberVolume:
     hits = a.fiber_charts.over(point)
     if not hits:
         raise EmptyFiber(f"fiber over {x} is empty")
-    tight: list[set[int]] = [set() for _ in a.polytope.A]
+    tight = [0] * len(a.polytope.A)
     for j, chart in enumerate(hits):
         for i in chart.active_set:
-            tight[i].add(j)
+            tight[i] |= 1 << j
     verts = [chart.vertex(point) for chart in hits]
-    return FiberVolume(point, polytope_volume([frozenset(t) for t in tight], verts, a.n - a.k))
+    return FiberVolume(point, polytope_volume(tight, verts, a.n - a.k))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +190,12 @@ def _monomials(k: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _monomial(x: Vec, expo: tuple[int, ...]) -> Fraction:
+    return math.prod((xi**e for xi, e in zip(x, expo)), start=Fraction(1))
+
+
 def _monomial_row(x: Vec, monomials: list[tuple[int, ...]]) -> Vec:
-    row = []
-    for expo in monomials:
-        term = Fraction(1)
-        for xi, e in zip(x, expo):
-            term *= xi**e
-        row.append(term)
-    return tuple(row)
+    return tuple(_monomial(x, expo) for expo in monomials)
 
 
 def _stratum_point_stream(stratum, seed: int):
@@ -307,14 +285,11 @@ def mc_fiber_volume(a: ToricAction, x, trials: int, seed: int) -> MCVolume:
     point = _fiber_point(a, x)
     rows, _, _ = _fiber_rows(a, point)
     d = a.n - a.k
-    if d == 0:
-        verts = enumerate_vertices(rows, 0)
-        if not verts:
-            raise EmptyFiber(f"fiber over {x} is empty")
-        return MCVolume(point, 1.0, 0.0, trials, seed)
     verts = enumerate_vertices(rows, d)
     if not verts:
         raise EmptyFiber(f"fiber over {x} is empty")
+    if d == 0:
+        return MCVolume(point, 1.0, 0.0, trials, seed)
     hull = AffineSubspace.from_points(verts)
     if hull.dim < d:
         raise DegenerateFiber(f"fiber over {x} has dimension {hull.dim} < {d}")

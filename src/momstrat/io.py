@@ -220,13 +220,17 @@ def _density2j(poly: DensityPoly) -> dict:
     }
 
 
-def _j2density(data) -> DensityPoly:
+def _exponents(data, n: int) -> tuple[int, ...]:
+    expo = tuple(_int(i) for i in data)
+    if len(expo) != n or any(e < 0 for e in expo):
+        raise ParseError(f"density exponents {list(expo)} are not {n} nonnegative integers")
+    return expo
+
+
+def _j2density(data, n: int) -> DensityPoly:
     return DensityPoly(
         _int(data["stratum_id"]),
-        tuple(
-            (tuple(_int(i) for i in item["exponents"]), _rat(item["value"]))
-            for item in data["coefficients"]
-        ),
+        tuple((_exponents(item["exponents"], n), _rat(item["value"])) for item in data["coefficients"]),
         _int(data["degree"]),
     )
 
@@ -269,6 +273,7 @@ def parse_document(raw: bytes) -> StratificationDocument:
         n = _int(data["ambient_dim"])
         strata = []
         densities = {}
+        ids = set()
         for entry in _nonempty(data["strata"], "strata"):
             integer_direction = None
             if "integer_direction" in entry:
@@ -282,10 +287,17 @@ def parse_document(raw: bytes) -> StratificationDocument:
                 tuple(tuple(_int(i) for i in e) for e in entry["adjacency"]),
                 integer_direction,
             )
+            if st.id in ids:
+                raise ParseError(f"stratum id {st.id} is used twice")
+            if not st.dim == len(st.direction) == st.carrier.dim:
+                raise ParseError(
+                    f"stratum {st.id} has dimension {st.dim}, {len(st.direction)} direction rows"
+                    f" and a carrier of dimension {st.carrier.dim}"
+                )
+            ids.add(st.id)
             strata.append(st)
             if "density" in entry:
-                densities[st.id] = _j2density(entry["density"])
-        ids = {st.id for st in strata}
+                densities[st.id] = _j2density(entry["density"], n)
         frontier = tuple(tuple(_int(i) for i in p) for p in data["frontier"])
         for pair in frontier:
             if len(pair) != 2 or not ids.issuperset(pair):

@@ -1,8 +1,12 @@
 """Exact rational convex polyhedra, face lattices and relatively open cells.
 
 All geometry is desk scale (ambient dimension <= 8, handfuls of facets), so
-the algorithms favour transparent exactness over asymptotics: vertices come
-from exhaustive tight-set basis enumeration, feasibility from Fourier-Motzkin.
+the algorithms favour transparent exactness over asymptotics.  Faces come
+from vertex-facet incidence alone: ``_facets`` gives the facets of a face S,
+a bit set of points, as the maximal proper nonempty sets S & t over the tight
+sets t.  The face lattice, ``_cell``, ``closure_faces`` and the volume fans of
+``dh`` all use it, with no rank.  Only ``vertices`` enumerates tight bases;
+boundedness is Fourier-Motzkin.
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
@@ -29,11 +33,12 @@ This module alone decides cell membership:
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
   both the refinement (through ``_membership_constant``) and the frontier
   check call.  The refinement's pieces are plain cells with no record of
-  their signs: ``meets`` itself tells a piece that misses an object, being
-  strictly outside a facet or off the carrier (``_closures_separated``) or
-  inside a facet hyperplane of an open object (its zero-row test);
+  their signs: ``meets`` itself tells a piece that misses an object, after a
+  box test, a sample-point test and ``_closures_separated``, by splitting x
+  by the object's hyperplanes (``_split_by``) and testing one sample point
+  per piece;
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
-  of x outside all of them, or None.
+  of x outside all of them, or None, by the same split and sample test.
 
 The sign tests of cells run in integers.  A canonical row a.x <= beta has
 primitive integer coefficients (``_canon_row``), so it is kept as
@@ -44,12 +49,12 @@ same sign: the test is exact, with no rational normalization.  A cell caches
 these forms beside its ``Fraction`` data (``_int_equations``,
 ``_int_facet_rows``, ``_int_vertices`` and ``bbox``, whose corners share the
 vertices' denominator, so a box test is one cross-multiplication per
-coordinate).  They serve the point tests, the box tests, ``_within_closure``,
-``_closures_separated``, and the tight sets of ``_cell`` and ``split_cell``.
-Those are bit sets of points, so facets, vertices and edges are read off by
-set inclusion, with no rank.  Crossing points, carriers, restricted rows,
-``enumerate_vertices`` (and so the last step of ``meets``) and everything
-returned stay ``Fraction``.
+coordinate), and ``_int_sample``, the sample point in integer form, which
+the point tests of ``meets``, ``uncovered_point`` and the cover validation
+share.  They serve the point tests, the box tests, ``_within_closure``,
+``_closures_separated`` and every tight set.  Crossing points, carriers,
+restricted rows, ``enumerate_vertices`` and everything returned stay
+``Fraction``.
 
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
@@ -110,6 +115,7 @@ def _canon_row(f: Functional) -> Functional:
 # Integer forms of the sign kernel (see the module docstring).
 IntRow = tuple[tuple[int, ...], int, int]  # (a, numerator of beta, denominator of beta)
 IntPoints = tuple[tuple[tuple[int, ...], ...], int]  # (numerator rows, common denominator)
+IntPoint = tuple[tuple[int, ...], int]  # (numerators, denominator)
 Box = tuple[tuple[int, ...], tuple[int, ...], int]  # (lo, hi, d): corners lo / d and hi / d
 
 
@@ -149,6 +155,19 @@ def _excesses(row: IntRow, points: IntPoints) -> list[int]:
     nums, d = points
     t = bn * d
     return [sum(map(mul, a, n)) * bd - t for n in nums]
+
+
+def _zeros(vals: Sequence[int]) -> int:
+    """The indices of the zero values, as a bit set: bit i stands for point i."""
+    return sum(1 << i for i, v in enumerate(vals) if v == 0)
+
+
+def _facets(face: int, tight: Iterable[int]) -> list[int]:
+    """The facets of a face S, as bit sets of points: the maximal proper
+    nonempty sets S & t over the tight sets t of valid rows among which every
+    facet of the polytope lies (every facet of S is S meet one of those)."""
+    parts = {face & t for t in tight} - {face, 0}
+    return [s for s in parts if not any(s != t and s & t == s for t in parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +283,9 @@ def _restrict_functional(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Fun
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope: tight rows, affine hull, dimension, vertices."""
+    """A face of a polytope: tight rows, dimension, vertices."""
 
     active_set: tuple[int, ...]
-    affine_hull: AffineSubspace | None
     dim: int
     vertex_ids: tuple[int, ...]
     vertex_coords: Mat
@@ -285,45 +303,44 @@ class FaceLattice:
         return [f for f in self.faces if f.dim >= 0]
 
 
-def tight_sets(rows: Iterable[Functional], points: Sequence[Vec]) -> list[frozenset[int]]:
-    """For each row a.x <= beta, the indices of the points at which it is tight."""
-    return [frozenset(i for i, p in enumerate(points) if dot(a, p) == beta) for a, beta in rows]
+def tight_sets(rows: Iterable[Functional], points: Sequence[Vec]) -> list[int]:
+    """For each row a.x <= beta, the points at which it is tight, as a bit
+    set: bit i stands for points[i]."""
+    frame = _int_points(points)
+    return [_zeros(_excesses(_int_row(f), frame)) for f in rows]
 
 
-def _faces_by_incidence(tight: Sequence[frozenset[int]], count: int) -> set[frozenset[int]]:
-    """Vertex-index sets of all nonempty faces of conv(points): the full set
-    closed under intersection with the row tight sets (every facet among the
-    rows; redundant and repeated rows are harmless)."""
-    full = frozenset(range(count))
-    closure, frontier = {full}, {full}
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for t in tight:
-                c = s & t
-                if c and c not in closure:
-                    nxt.add(c)
-        closure |= nxt
-        frontier = nxt
-    return closure
+def _faces_by_incidence(tight: Sequence[int], count: int) -> dict[int, int]:
+    """Every nonempty face of conv(points 0..count-1) as a bit set of points,
+    with its dimension, by descent through facets (``_facets``) from the
+    whole set: a point has dimension 0, any other face one more than any of
+    its facets."""
+    dims: dict[int, int] = {}
+
+    def descend(face: int) -> int:
+        if face not in dims:
+            dims[face] = max((descend(f) + 1 for f in _facets(face, tight)), default=0)
+        return dims[face]
+
+    descend((1 << count) - 1)
+    return dims
 
 
 def face_lattice(p: HPolytope) -> FaceLattice:
     """Complete graded face lattice from the empty face to the polytope.
 
-    Faces are generated by closing the facet vertex sets under intersection
-    (vertex-facet incidence), which stays correct for redundant H-rows.
+    Faces and their dimensions come from vertex-facet incidence alone
+    (``_faces_by_incidence``), which stays correct for redundant H-rows.
     ``HPolytope.lattice`` memoizes the result on the polytope.
     """
     verts = vertices(p)
     tight = tight_sets(zip(p.A, p.b), verts)
     faces = []
-    for s in _faces_by_incidence(tight, len(verts)):
-        coords = mat(verts[i] for i in sorted(s))
-        hull = AffineSubspace.from_points(list(coords))
-        active = tuple(i for i, t in enumerate(tight) if s <= t)
-        faces.append(Face(active, hull, hull.dim, tuple(sorted(s)), coords))
-    faces.append(Face(tuple(range(len(p.A))), None, -1, (), ()))
+    for s, dim in _faces_by_incidence(tight, len(verts)).items():
+        ids = tuple(i for i in range(len(verts)) if s >> i & 1)
+        active = tuple(i for i, t in enumerate(tight) if s & t == s)
+        faces.append(Face(active, dim, ids, mat(verts[i] for i in ids)))
+    faces.append(Face(tuple(range(len(p.A))), -1, (), ()))
     faces.sort(key=lambda f: (f.dim, f.active_set, f.vertex_ids))
     return FaceLattice(tuple(faces), mat(verts))
 
@@ -396,22 +413,31 @@ class RelOpenCell:
     def _int_facet_rows(self) -> tuple[IntRow, ...]:
         return tuple(map(_int_row, self.ambient_facet_rows))
 
-    def _int_point(self, x: Vec) -> tuple[tuple[int, ...], int]:
+    @cached_property
+    def _int_sample(self) -> IntPoint:
+        """The sample point as (n, d) with x = n / d."""
+        return self._int_point(self._centroid)
+
+    def _int_point(self, x: Vec) -> IntPoint:
         """x as (n, d) with x = n / d, after the dimension check."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
         (n,), d = _int_points((x,))
         return n, d
 
-    def _on_carrier_in_bbox(self, n: tuple[int, ...], d: int) -> bool:
-        lo, hi, e = self.bbox
-        return all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi)) and not any(
-            _excess(r, n, d) for r in self._int_equations
+    def _holds(self, x: IntPoint, strict: bool) -> bool:
+        """x lies on the carrier and inside every facet row, strictly when
+        ``strict``: in the relative interior, or else in the closure."""
+        (n, d), (lo, hi, e) = x, self.bbox
+        cap = 0 if strict else 1  # excesses are integers: v <= 0 is v < 1
+        return (
+            all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi))
+            and not any(_excess(r, n, d) for r in self._int_equations)
+            and all(_excess(r, n, d) < cap for r in self._int_facet_rows)
         )
 
     def closure_contains(self, x: Vec) -> bool:
-        n, d = self._int_point(x)
-        return self._on_carrier_in_bbox(n, d) and all(_excess(r, n, d) <= 0 for r in self._int_facet_rows)
+        return self._holds(self._int_point(x), strict=False)
 
     def contains(self, x: Vec) -> bool:
         """x lies on the carrier and strictly inside every facet row.
@@ -421,8 +447,7 @@ class RelOpenCell:
         excludes exactly its single facet rows (``excluded_faces`` is
         ((0,), (1,), ...)), so its relative interior is where all are strict.
         """
-        n, d = self._int_point(x)
-        return self._on_carrier_in_bbox(n, d) and all(_excess(r, n, d) < 0 for r in self._int_facet_rows)
+        return self._holds(self._int_point(x), strict=True)
 
     def interior_points(self, count: int, rng) -> list[Vec]:
         """Deterministic rational points in the cell: positive vertex mixes."""
@@ -459,9 +484,9 @@ def _cell(points: Iterable[Vec], candidates: Iterable[Functional] | None) -> Rel
     lies; None means every hyperplane through d affinely independent points,
     found and tested in carrier coordinates.  A candidate that holds on every
     point and is tight on some cuts out a face, and every face lies in a
-    facet, so the facets are the candidates tight on a maximal set of points;
-    they are restricted to the carrier, oriented and sorted.  A point is a
-    closure vertex when the facets through it meet in it alone.
+    facet, so the facets are the candidates tight on a maximal set of points
+    (``_facets``); they are restricted to the carrier, oriented and sorted.
+    A point is a closure vertex when the facets through it meet in it alone.
     """
     pts = sorted(set(points))
     carrier = AffineSubspace.from_points(pts)
@@ -473,11 +498,10 @@ def _cell(points: Iterable[Vec], candidates: Iterable[Functional] | None) -> Rel
         vals = _excesses(_int_row(f), frame)
         lo, hi = min(vals), max(vals)
         if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
-            faces.setdefault(sum(1 << i for i, v in enumerate(vals) if v == 0), (f, hi == 0))
+            faces.setdefault(_zeros(vals), (f, hi == 0))
     rows: dict[Functional, int] = {}
-    for tight, (f, holds) in faces.items():
-        if any(t != tight and t & tight == tight for t in faces):
-            continue  # a face inside a larger one
+    for tight in _facets((1 << len(pts)) - 1, faces):
+        f, holds = faces[tight]
         a, b = f if scan else _restrict_functional(carrier, *f)
         rows[_canon_row((a, b) if holds else (tuple(-c for c in a), -b))] = tight
     order = sorted(rows)
@@ -538,7 +562,7 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
             return {0: cell}
         return {-1 if negs else 1: cell}
     local_pts = list(cell.local_vertices)
-    facets = [sum(1 << i for i, v in enumerate(_excesses(r, verts)) if v == 0) for r in cell._int_facet_rows]
+    facets = [_zeros(_excesses(r, verts)) for r in cell._int_facet_rows]
     crossings: list[Vec] = []
     for i in negs:
         u, vu = local_pts[i], vals[i]
@@ -569,9 +593,10 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     built once."""
     faces: dict[tuple[Vec, ...], RelOpenCell] = {}
     for cell in cells:
-        tight = tight_sets(cell.local_rows(), cell.local_vertices)
-        for s in _faces_by_incidence(tight, len(cell.closure_vertices)):
-            faces.setdefault(tuple(cell.closure_vertices[i] for i in sorted(s)), cell)
+        verts = cell.closure_vertices
+        tight = [_zeros(_excesses(r, cell._int_vertices)) for r in cell._int_facet_rows]
+        for s in _faces_by_incidence(tight, len(verts)):
+            faces.setdefault(tuple(v for i, v in enumerate(verts) if s >> i & 1), cell)
     return [_cell(points, faces[points].ambient_facet_rows) for points in sorted(faces)]
 
 
@@ -636,35 +661,11 @@ def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
     or as the relatively open set it is?"""
     if _bbox_disjoint(x.bbox, obj.bbox):
         return False
-    if (obj.closure_contains if closed else obj.contains)(x.sample_point()):
+    if obj._holds(x._int_sample, strict=not closed):
         return True
     if _closures_separated(x, obj):
         return False
-    # Q = Cl(x) ∩ Cl(obj) in x-local coordinates; Q minus finitely many
-    # hyperplanes is nonempty exactly when the convex Q lies in none of them
-    rows: list[Functional] = x.local_rows()
-    strict: list[Functional] = x.local_rows()
-    for a, b in obj.ambient_equations:
-        a_loc, b_loc = _restrict_functional(x.carrier, a, b)
-        if all(c == 0 for c in a_loc):
-            if b_loc != 0:
-                return False
-            continue
-        rows.append((a_loc, b_loc))
-        rows.append((tuple(-c for c in a_loc), -b_loc))
-    for a, b in obj.ambient_facet_rows:
-        a_loc, b_loc = _restrict_functional(x.carrier, a, b)
-        if all(c == 0 for c in a_loc):
-            # x's carrier lies outside the row, or in its hyperplane, which
-            # the open obj excludes
-            if b_loc < 0 or (b_loc == 0 and not closed):
-                return False
-            continue
-        rows.append((a_loc, b_loc))
-        if not closed:
-            strict.append((a_loc, b_loc))
-    q = enumerate_vertices(rows, x.dim)
-    return bool(q) and all(any(dot(a, t) != b for t in q) for a, b in strict)
+    return any(obj._holds(piece._int_sample, strict=not closed) for piece in _split_by(x, [obj]))
 
 
 def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
@@ -683,19 +684,24 @@ def _object_functionals(obj: RelOpenCell) -> list[Functional]:
     return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
 
 
+def _split_by(x: RelOpenCell, objs: Iterable[RelOpenCell]) -> list[RelOpenCell]:
+    """x split by every defining hyperplane of the objects.  Membership in
+    each object, open or closed, is constant on every piece, so one sample
+    point per piece decides it."""
+    pieces = [x]
+    for cut in sorted({f for obj in objs for f in _object_functionals(obj)}):
+        pieces = [sub_cell for piece in pieces for sub_cell in split_cell(piece, cut).values()]
+    return pieces
+
+
 def uncovered_point(x: RelOpenCell, closures: Sequence[RelOpenCell]) -> Vec | None:
     """A point of x outside every Cl(t) for t in ``closures``, or None when
     x lies in their union.  x is split by the defining hyperplanes of the
-    cells near it, so membership in each closure is constant on every piece
-    and one sample point per piece decides it."""
+    cells near it (``_split_by``), and one sample point per piece decides."""
     relevant = [t for t in closures if not _bbox_disjoint(x.bbox, t.bbox)]
-    pieces = [x]
-    for cut in sorted({f for t in relevant for f in _object_functionals(t)}):
-        pieces = [sub_cell for piece in pieces for sub_cell in split_cell(piece, cut).values()]
-    for piece in pieces:
-        s = piece.sample_point()
-        if not any(t.closure_contains(s) for t in relevant):
-            return s
+    for piece in _split_by(x, relevant):
+        if not any(t._holds(piece._int_sample, strict=False) for t in relevant):
+            return piece.sample_point()
     return None
 
 

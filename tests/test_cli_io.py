@@ -335,6 +335,10 @@ def _paper_document_with(value, *path):
     return doc
 
 
+def _density(*exponents):
+    return {"stratum_id": 20, "degree": 1, "coefficients": [{"exponents": list(exponents), "value": "1"}]}
+
+
 @pytest.mark.parametrize(
     "command, payload, options",
     [
@@ -367,6 +371,31 @@ def _paper_document_with(value, *path):
         pytest.param("render", _paper_document_with(["x"], "provenance"), (), id="non-object-provenance"),
         pytest.param(
             "render", _paper_document_with([0, 999], "frontier", 0), (), id="frontier-unknown-stratum"
+        ),
+        pytest.param("render", _paper_document_with(0, "strata", -1, "dim"), (), id="stratum-dim-too-small"),
+        pytest.param(
+            "render", _paper_document_with([], "strata", -1, "direction"), (), id="stratum-direction-rows"
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with([], "strata", -1, "carrier", "directions"),
+            (),
+            id="stratum-carrier-dimension",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_paper_document()["strata"] * 2, "strata"),
+            (),
+            id="duplicate-stratum-ids",
+        ),
+        pytest.param(
+            "render", _paper_document_with(_density(1), "strata", -1, "density"), (), id="short-exponents"
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(-1, 0), "strata", -1, "density"),
+            (),
+            id="negative-exponent",
         ),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),

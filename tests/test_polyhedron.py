@@ -339,12 +339,13 @@ def test_cell_canonical_encoding():
 
 
 def test_project_relint_direction_is_projected_face_direction():
-    from momstrat.linalg import mat_vec, row_space_basis
+    from momstrat.linalg import AffineSubspace, mat_vec, row_space_basis
 
     lattice = face_lattice(prism_polytope())
     for f in lattice.nonempty_faces():
         cell = project_relint(f, B_T)
-        pushed = row_space_basis(mat([mat_vec(B_T, d) for d in f.affine_hull.directions]))
+        hull = AffineSubspace.from_points(list(f.vertex_coords))
+        pushed = row_space_basis(mat([mat_vec(B_T, d) for d in hull.directions]))
         assert cell.carrier.directions == pushed
 
 

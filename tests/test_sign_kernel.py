@@ -1,24 +1,33 @@
 """Property tests: the integer sign kernel of ``polyhedron`` against a plain
 ``Fraction`` reference (``dot(a, x) <= b`` and box comparisons on the
-closure vertices), and ``_closures_separated`` against the vertex test."""
+closure vertices), ``meets`` and ``_closures_separated`` against vertex
+enumeration, and the incidence routines (bit-set tight sets, face dimensions
+by descent, fan volumes) against ranks and closed forms."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momstrat.linalg import dot, vec
+from momstrat.dh import polytope_volume
+from momstrat.linalg import AffineSubspace, dot, vec
 from momstrat.polyhedron import (
     _bbox_disjoint,
     _closures_separated,
+    _faces_by_incidence,
     _restrict_functional,
+    _split_by,
     cell_from_closure_points,
     closure_faces,
     enumerate_vertices,
+    face_lattice,
+    meets,
+    tight_sets,
     vertices,
 )
-from support import paper_action, product_polytope, random_toric_instance
+from support import corpus, paper_action, product_polytope, random_toric_instance
 
 F = Fraction
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -66,17 +75,20 @@ def reference_test(cell, x, strict):
     return all((dot(a, x) < b) if strict else (dot(a, x) <= b) for a, b in cell.ambient_facet_rows)
 
 
-def reference_meets_closure(x, obj):
-    """Does the relatively open x meet Cl(obj)?  Q = Cl(x) ∩ Cl(obj) in
-    x-local coordinates, by exhaustive vertex enumeration; x meets Cl(obj)
-    exactly when Q is nonempty and lies in no facet hyperplane of x."""
+def reference_meets(x, obj, closed):
+    """Does the relatively open x meet Cl(obj) (closed=True), or obj itself?
+    Q = Cl(x) ∩ Cl(obj) in x-local coordinates, by exhaustive vertex
+    enumeration.  Q minus finitely many hyperplanes of valid rows is nonempty
+    exactly when the convex Q lies in none of them: the facet hyperplanes of
+    x, and for the open obj its own."""
     rows = x.local_rows()
     for a, b in obj.ambient_equations:
         a_loc, b_loc = _restrict_functional(x.carrier, a, b)
         rows += [(a_loc, b_loc), (tuple(-c for c in a_loc), -b_loc)]
-    rows += [_restrict_functional(x.carrier, a, b) for a, b in obj.ambient_facet_rows]
-    q = enumerate_vertices(rows, x.dim)
-    return bool(q) and all(any(dot(a, t) != b for t in q) for a, b in x.local_rows())
+    facets = [_restrict_functional(x.carrier, a, b) for a, b in obj.ambient_facet_rows]
+    q = enumerate_vertices(rows + facets, x.dim)
+    strict = x.local_rows() + ([] if closed else facets)
+    return bool(q) and all(any(dot(a, t) != b for t in q) for a, b in strict)
 
 
 cells = st.integers(min_value=0).map(lambda i: pool()[i % len(pool())])
@@ -130,7 +142,68 @@ def test_closures_separated_implies_no_meeting(x, j):
     same = by_ambient_dim(x.ambient_dim)
     obj = same[j % len(same)]
     if _closures_separated(x, obj):
-        assert not reference_meets_closure(x, obj)
+        assert not reference_meets(x, obj, closed=True)
+
+
+@SETTINGS
+@given(cells, st.integers(min_value=0), st.booleans())
+def test_meets_and_split_and_sample_match_vertex_enumeration(x, j, closed):
+    same = by_ambient_dim(x.ambient_dim)
+    obj = same[j % len(same)]
+    expected = reference_meets(x, obj, closed)
+    assert meets(x, obj, closed) == expected
+    # the last step of ``meets`` alone, without the cheap tests before it
+    test = obj.closure_contains if closed else obj.contains
+    assert any(test(p.sample_point()) for p in _split_by(x, [obj])) == expected
+
+
+@SETTINGS
+@given(cells, st.integers(min_value=0))
+def test_tight_sets_are_bit_sets_of_the_fraction_test(cell, j):
+    # the rows of the cell and of another cell of the same ambient space, at
+    # the cell's closure vertices
+    same = by_ambient_dim(cell.ambient_dim)
+    rows = [*cell.ambient_facet_rows, *same[j % len(same)].ambient_facet_rows, *cell.ambient_equations]
+    points = cell.closure_vertices
+    expected = [sum(1 << i for i, p in enumerate(points) if dot(a, p) == b) for a, b in rows]
+    assert tight_sets(rows, points) == expected
+
+
+def _rank_dim(points):
+    return AffineSubspace.from_points(list(points)).dim
+
+
+def test_face_dimensions_by_descent_match_ranks():
+    polytopes = [a.polytope for a in corpus()]
+    polytopes += [
+        product_polytope([1, 2], [2, 1], [[0], [1, -1]]),
+        product_polytope([2, 1], [3, 2], [[-1, 0], [1]]),
+    ]
+    for p in polytopes:
+        for f in face_lattice(p).nonempty_faces():
+            assert f.dim == _rank_dim(f.vertex_coords)
+    checked = 0
+    for cell in pool():
+        verts = cell.closure_vertices
+        assert cell.dim == _rank_dim(verts)
+        faces = _faces_by_incidence(tight_sets(cell.ambient_facet_rows, verts), len(verts))
+        for face, dim in faces.items():
+            assert dim == _rank_dim(v for i, v in enumerate(verts) if face >> i & 1)
+            checked += 1
+    assert checked > 1000
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=2))
+def test_polytope_volume_on_bit_set_tight_sets_matches_closed_forms(blocks):
+    # a product of scaled simplices c * Delta_d has volume prod c^d / d!
+    dims = [d for d, _ in blocks]
+    p = product_polytope(dims, [c for _, c in blocks], [[0] * d for d in dims])
+    verts = vertices(p)
+    tight = tight_sets(zip(p.A, p.b), verts)
+    assert all(type(t) is int and 0 < t < 1 << len(verts) for t in tight)
+    expected = math.prod(F(c**d, math.factorial(d)) for d, c in blocks)
+    assert polytope_volume(tight, verts, sum(dims)) == expected
 
 
 def test_known_rows_and_hyperplane_scan_build_the_same_cells():
