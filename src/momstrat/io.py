@@ -62,8 +62,16 @@ def _j2vec(data) -> Vec:
     return tuple(_rat(x) for x in data)
 
 
-def _j2mat(data) -> Mat:
-    return mat([_j2vec(row) for row in data])
+def _sized(v, n: int, what: str):
+    """v, after checking that it has n coordinates."""
+    if len(v) != n:
+        raise ParseError(f"{what} has {len(v)} coordinates, not {n}")
+    return v
+
+
+def _j2rows(data, n: int, what: str) -> Mat:
+    """Rows of exact rationals, each checked to have n coordinates."""
+    return tuple(_sized(_j2vec(row), n, what) for row in data)
 
 
 def input_hash(raw: bytes) -> str:
@@ -175,19 +183,11 @@ def _subspace2j(s: AffineSubspace) -> dict:
     }
 
 
-def _sized(v, n: int, what: str):
-    """v, after checking that it has n coordinates."""
-    if len(v) != n:
-        raise ParseError(f"{what} has {len(v)} coordinates, the document {n}")
-    return v
-
-
 def _j2subspace(data, n: int) -> AffineSubspace:
     if _int(data["ambient_dim"]) != n:
         raise ParseError(f"carrier of ambient dimension {data['ambient_dim']} in a document of {n}")
     base = _sized(_j2vec(data["base"]), n, "carrier base")
-    directions = mat(_sized(r, n, "carrier direction") for r in _j2mat(data["directions"]))
-    return AffineSubspace(base, directions, n)
+    return AffineSubspace(base, _j2rows(data["directions"], n, "carrier direction"), n)
 
 
 def _cell2j(c: RelOpenCell) -> dict:
@@ -200,14 +200,14 @@ def _cell2j(c: RelOpenCell) -> dict:
 
 
 def _j2cell(data, n: int) -> RelOpenCell:
-    verts = _j2mat(_nonempty(data["closure_vertices"], "closure_vertices"))
-    return RelOpenCell(
-        _j2subspace(data["carrier"], n),
-        _j2mat(data["inequalities"]["A"]),
-        _j2vec(data["inequalities"]["b"]),
-        tuple(tuple(_int(i) for i in f) for f in data["excluded_faces"]),
-        mat(_sized(v, n, "closure vertex") for v in verts),
-    )
+    carrier = _j2subspace(data["carrier"], n)
+    a = _j2rows(data["inequalities"]["A"], carrier.dim, "cell inequality row")
+    b = _sized(_j2vec(data["inequalities"]["b"]), len(a), "cell offset vector b")
+    excluded = tuple(tuple(_int(i) for i in f) for f in data["excluded_faces"])
+    if not all(0 <= i < len(a) for f in excluded for i in f):
+        raise ParseError(f"excluded faces {[list(f) for f in excluded]} name no row of a cell of {len(a)}")
+    verts = _j2rows(_nonempty(data["closure_vertices"], "closure_vertices"), n, "closure vertex")
+    return RelOpenCell(carrier, a, b, excluded, verts)
 
 
 def _density2j(poly: DensityPoly) -> dict:
@@ -277,10 +277,10 @@ def parse_document(raw: bytes) -> StratificationDocument:
         for entry in _nonempty(data["strata"], "strata"):
             integer_direction = None
             if "integer_direction" in entry:
-                integer_direction = _j2mat(entry["integer_direction"])
+                integer_direction = _j2rows(entry["integer_direction"], n, "integer direction")
             st = Stratum(
                 _int(entry["id"]),
-                _j2mat(entry["direction"]),
+                _j2rows(entry["direction"], n, "stratum direction"),
                 _j2subspace(entry["carrier"], n),
                 tuple(_j2cell(c, n) for c in _nonempty(entry["cells"], "cells")),
                 _int(entry["dim"]),
@@ -289,10 +289,11 @@ def parse_document(raw: bytes) -> StratificationDocument:
             )
             if st.id in ids:
                 raise ParseError(f"stratum id {st.id} is used twice")
-            if not st.dim == len(st.direction) == st.carrier.dim:
+            top = max(c.dim for c in st.cells)
+            if not st.dim == len(st.direction) == st.carrier.dim == top:
                 raise ParseError(
-                    f"stratum {st.id} has dimension {st.dim}, {len(st.direction)} direction rows"
-                    f" and a carrier of dimension {st.carrier.dim}"
+                    f"stratum {st.id} has dimension {st.dim}, {len(st.direction)} direction rows,"
+                    f" a carrier of dimension {st.carrier.dim} and cells of dimension up to {top}"
                 )
             ids.add(st.id)
             strata.append(st)

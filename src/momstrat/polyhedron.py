@@ -5,8 +5,11 @@ the algorithms favour transparent exactness over asymptotics.  Faces come
 from vertex-facet incidence alone: ``_facets`` gives the facets of a face S,
 a bit set of points, as the maximal proper nonempty sets S & t over the tight
 sets t.  The face lattice, ``_cell``, ``closure_faces`` and the volume fans of
-``dh`` all use it, with no rank.  Only ``vertices`` enumerates tight bases;
-boundedness is Fourier-Motzkin.
+``dh`` all use it, with no rank.  One tight-basis scan, ``_kernel_lines``,
+yields the kernel line of every k rows of rank k in k + 1 homogeneous
+coordinates; it gives the vertices (``enumerate_vertices``), the extreme rays
+that decide boundedness (``is_bounded``) and the hyperplanes through points
+(``_hyperplanes``).
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
@@ -70,7 +73,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 from operator import and_, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
 from .linalg import (
@@ -83,7 +86,6 @@ from .linalg import (
     dot,
     mat,
     mat_vec,
-    nullspace,
     primitive_functional,
     rank,
     rref,
@@ -198,51 +200,44 @@ class HPolytope:
         return face_lattice(self)
 
 
-def _fm_feasible(rows: list[Functional], nvars: int) -> bool:
-    """Fourier-Motzkin feasibility of a system of rows a.x <= beta."""
-    rows = [_canon_row(r) for r in rows]
-    for v in range(nvars):
-        pos = [r for r in rows if r[0][v] > 0]
-        neg = [r for r in rows if r[0][v] < 0]
-        zero = [r for r in rows if r[0][v] == 0]
-        new = list(zero)
-        for (ap, bp) in pos:
-            for (an, bn) in neg:
-                coeff = tuple(x * (-an[v]) + y * ap[v] for x, y in zip(ap, an))
-                new.append(_canon_row((coeff, bp * (-an[v]) + bn * ap[v])))
-        rows = sorted(set(new))
-    return all(b >= 0 for _, b in rows)
+def _kernel_lines(rows: Sequence[Vec], k: int) -> Iterator[Vec]:
+    """The tight-basis scan: for each k-subset of the homogeneous rows (each
+    of length k + 1) whose kernel is a line, a vector spanning that line,
+    read off one ``rref`` of the subset with its free coordinate set to 1."""
+    for subset in itertools.combinations(rows, k):
+        red, pivots = rref(subset)
+        if len(pivots) == k:
+            free = next((c for c, pc in enumerate(pivots) if c != pc), k)
+            z = [ZERO] * (k + 1)
+            z[free] = ONE
+            for r, pc in zip(red, pivots):
+                z[pc] = -r[free]
+            yield tuple(z)
 
 
 def is_bounded(p: HPolytope) -> bool:
-    """Exact boundedness: the recession cone {A.x <= 0} is the origin alone."""
+    """Exact boundedness: the recession cone {r : A.r <= 0} is the origin
+    alone.  With rank A = n the cone is pointed, and a pointed cone other
+    than the origin has an extreme ray, which spans the kernel line of n - 1
+    independent rows of A (Schrijver 1986, section 8.8); so it suffices that
+    neither r nor -r lies in the cone for any such line r."""
     n = p.ambient_dim
-    cone = [(row, ZERO) for row in p.A]
-    for i in range(n):
-        for s in (ONE, -ONE):
-            e = tuple(s if j == i else ZERO for j in range(n))
-            rows = cone + [(e, -ONE), (tuple(-x for x in e), ONE)]
-            if _fm_feasible(rows, n):
-                return False
-    return True
+    if n == 0:
+        return True
+    values = ([dot(a, r) for a in p.A] for r in _kernel_lines(p.A, n - 1))
+    return rank(p.A) == n and all(min(v) < 0 < max(v) for v in values)
 
 
 def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
-    """All vertices of {x : a.x <= beta} by exhaustive tight-basis enumeration."""
-    if dim == 0:
-        return [()] if all(b >= 0 for _, b in rows) else []
+    """All vertices of {x : a.x <= beta} by exhaustive tight-basis
+    enumeration: each kernel line z of dim rows (a, -beta) with z[dim] != 0
+    gives the candidate point z[:dim] / z[dim]."""
     found: set[Vec] = set()
-    for subset in itertools.combinations(range(len(rows)), dim):
-        a = mat(rows[i][0] for i in subset)
-        red, pivots = rref(tuple(r + (rows[i][1],) for r, i in zip(a, subset)))
-        if len(pivots) != dim or dim in pivots:
-            continue
-        x = [ZERO] * dim
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][dim]
-        pt = tuple(x)
-        if pt not in found and all(dot(ar, pt) <= br for ar, br in rows):
-            found.add(pt)
+    for z in _kernel_lines([vec((*a, -b)) for a, b in rows], dim):
+        if z[dim]:
+            pt = scale(z[:dim], 1 / z[dim])
+            if pt not in found and all(dot(a, pt) <= b for a, b in rows):
+                found.add(pt)
     return sorted(found)
 
 
@@ -464,11 +459,10 @@ class RelOpenCell:
 
 
 def _hyperplanes(local: Sequence[Vec], d: int) -> Iterable[Functional]:
-    """Every hyperplane through d affinely independent points of ``local``."""
-    for p0, *rest in itertools.combinations(local, d) if d else ():
-        normals = nullspace(tuple(sub(q, p0) for q in rest), d)
-        if len(normals) == 1:
-            yield normals[0], dot(normals[0], p0)
+    """Every hyperplane a.x = beta through d affinely independent points of
+    ``local``: the kernel line (a, beta) of their rows (p, -1)."""
+    for z in _kernel_lines([(*p, -ONE) for p in local], d):
+        yield z[:d], z[d]
 
 
 def _smallest_face(facets: Iterable[int], points: int, count: int) -> int:

@@ -15,6 +15,7 @@ from momstrat.io import (
     serialize_document,
 )
 from support import paper_action
+from test_output_digests import COMMANDS, DIGESTS, ROOT
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -45,6 +46,19 @@ def test_document_round_trip_bit_identical():
     parsed = parse_document(text.encode("utf-8"))
     assert parsed == doc
     assert serialize_document(parsed) == text
+
+
+@pytest.mark.parametrize(
+    "path, command",
+    [key for key, (code, _) in DIGESTS.items() if code == 0 and key[1] != "validate-cover"],
+    ids=lambda v: v,
+)
+def test_shipped_document_round_trip_bit_identical(capsys, path, command):
+    """Every shipped ``stratify`` and ``dh --seed 0`` document passes the
+    document checks and re-serializes byte for byte."""
+    assert main([command, str(ROOT / path), *COMMANDS[command]]) == 0
+    text = capsys.readouterr().out
+    assert serialize_document(parse_document(text.encode("utf-8"))) == text
 
 
 def test_cli_stratify_paper_golden(tmp_path):
@@ -335,6 +349,11 @@ def _paper_document_with(value, *path):
     return doc
 
 
+def _cell_of(stratum):
+    """The first cell of a stratum of the paper document."""
+    return _paper_document()["strata"][stratum]["cells"][0]
+
+
 def _density(*exponents):
     return {"stratum_id": 20, "degree": 1, "coefficients": [{"exponents": list(exponents), "value": "1"}]}
 
@@ -390,6 +409,45 @@ def _density(*exponents):
         ),
         pytest.param(
             "render", _paper_document_with(_density(1), "strata", -1, "density"), (), id="short-exponents"
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(["1"], "strata", -1, "direction", 0),
+            (),
+            id="stratum-direction-row-length",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(["0"], "strata", -1, "cells", 0, "inequalities", "b"),
+            (),
+            id="cell-offsets-short",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(
+                [row + ["0"] for row in _cell_of(-1)["inequalities"]["A"]],
+                *("strata", -1, "cells", 0, "inequalities", "A"),
+            ),
+            (),
+            id="cell-row-length",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with([[99]], "strata", -1, "cells", 0, "excluded_faces"),
+            (),
+            id="excluded-face-names-no-row",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with([_cell_of(0), _cell_of(-1)], "strata", 0, "cells"),
+            (),
+            id="cell-above-stratum-dim",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with([_cell_of(7)], "strata", -1, "cells"),
+            (),
+            id="no-cell-of-stratum-dim",
         ),
         pytest.param(
             "render",
