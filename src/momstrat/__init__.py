@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .linalg import (  # noqa: F401
     AffineSubspace,
-    EMPTY,
     Mat,
     Vec,
     direction_intersect,
@@ -13,7 +12,6 @@ from .linalg import (  # noqa: F401
     kernel_lattice,
     mat,
     rref,
-    subspace_intersect,
     vec,
 )
 from .polyhedron import (  # noqa: F401

@@ -125,6 +125,9 @@ def cmd_oracle(args) -> int:
     raw, obj = _load(args.input)
     if not isinstance(obj, ToricAction):
         raise ParseError("the oracle needs a toric spec input")
+    for flag in ("trials", "samples"):
+        if getattr(args, flag) < 1:
+            raise ParseError(f"--{flag} must be positive, got {getattr(args, flag)}")
     from .linalg import frac, vec
 
     points = []

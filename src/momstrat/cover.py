@@ -14,25 +14,22 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import Vec, vec
-from .polyhedron import HPolytope, RelOpenCell, _refine_engine, _within_closure
+from .polyhedron import RelOpenCell, _refine_engine, _within_closure
 
 
 @dataclass(frozen=True)
 class PiecewiseAffineCover:
     members: tuple[RelOpenCell, ...]
     ambient_dim: int
-    support_closure: tuple[HPolytope, ...]
 
     @staticmethod
-    def make(
-        members: Sequence[RelOpenCell], support_closure: Sequence[HPolytope] = ()
-    ) -> "PiecewiseAffineCover":
+    def make(members: Sequence[RelOpenCell]) -> "PiecewiseAffineCover":
         if not members:
             raise DimensionMismatch("a cover needs at least one member")
         n = members[0].ambient_dim
         if any(m.ambient_dim != n for m in members):
             raise DimensionMismatch("cover members live in different ambient spaces")
-        return PiecewiseAffineCover(tuple(members), n, tuple(support_closure))
+        return PiecewiseAffineCover(tuple(members), n)
 
     @cached_property
     def pieces(self) -> tuple[RelOpenCell, ...]:

@@ -214,7 +214,10 @@ def density_polynomial(
 ) -> DensityPoly:
     """The unique polynomial of degree <= n-k matching fiber volumes on the
     stratum, interpolated on affinely generic points and verified on held-out
-    interior points (exact equality required)."""
+    interior points (exact equality required).
+
+    For k = 0 the stratum is the one point of R^0, so there is no held-out
+    point: the density is the constant fiber volume there."""
     stratum = s.strata[stratum_id]
     if stratum.dim != a.k:
         raise NotTopDimensional(
@@ -246,7 +249,7 @@ def density_polynomial(
         tuple((e, c) for e, c in zip(monomials, coeffs) if c != 0),
         max((sum(e) for e, c in zip(monomials, coeffs) if c != 0), default=0),
     )
-    holdout = max(a.k + 1, 3)
+    holdout = max(a.k + 1, 3) if a.k else 0
     checked = 0
     while checked < holdout:
         x = next(stream)

@@ -16,7 +16,7 @@ from .cover import PiecewiseAffineCover, ValidationReport
 from .dh import DensityPoly
 from .errors import MomstratError, ParseError
 from .linalg import AffineSubspace, Mat, Vec, frac, mat
-from .polyhedron import HPolytope, RelOpenCell, cell_from_closure_points, hpolytope_from_points
+from .polyhedron import HPolytope, RelOpenCell, cell_from_closure_points
 from .stratifier import Stratification, Stratum
 from .toric import ToricAction
 
@@ -109,21 +109,22 @@ def parse_toric_spec(data: dict) -> ToricAction:
 
 
 def parse_cover(data: dict) -> PiecewiseAffineCover:
+    """The cover's members; ``support_closure`` is checked but not used, since
+    the members alone determine the covered set."""
     try:
+        n = _int(data["ambient_dim"])
         members = [
             cell_from_closure_points(
-                [_j2vec(p) for p in _nonempty(m["closure_vertices"], "closure_vertices")]
+                _j2rows(_nonempty(m["closure_vertices"], "closure_vertices"), n, "closure vertex")
             )
             for m in data["members"]
         ]
-        support = tuple(
-            hpolytope_from_points([_j2vec(p) for p in _nonempty(poly["vertices"], "vertices")])
-            for poly in data.get("support_closure", [])
-        )
+        for poly in data.get("support_closure", []):
+            _j2rows(_nonempty(poly["vertices"], "vertices"), n, "support_closure vertex")
     except (KeyError, TypeError, ValueError, MomstratError) as exc:
         raise ParseError(f"malformed cover file: {exc}") from exc
     try:
-        return PiecewiseAffineCover.make(members, support)
+        return PiecewiseAffineCover.make(members)
     except MomstratError as exc:
         raise ParseError(f"invalid cover: {exc}") from exc
 

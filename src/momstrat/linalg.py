@@ -10,6 +10,12 @@ Affine subspaces are stored in a canonical form: the direction basis is the
 reduced row echelon form of any spanning set, and the base point is reduced
 to have zero coordinates in the pivot columns.  Two equal subspaces therefore
 have identical encodings regardless of how they were constructed.
+
+Lattices have one integer elimination, the unique row Hermite normal form
+``_hnf_rows``.  The kernel lattice is read off the HNF of augmented rows
+(``kernel_lattice``), and integer rows span Z^k, i.e. all elementary divisors
+are 1, exactly when their HNF is the identity (Schrijver 1986, ch. 4): the
+effectiveness test of a subtorus.
 """
 
 from __future__ import annotations
@@ -220,8 +226,8 @@ class AffineSubspace:
     @staticmethod
     def from_point_and_directions(point: Vec, dirs: Mat) -> "AffineSubspace":
         n = len(point)
-        basis = row_space_basis(dirs) if dirs else ()
-        _, pivots = rref(basis) if basis else ((), [])
+        red, pivots = rref(dirs)
+        basis = red[: len(pivots)]
         base = list(point)
         for i, pc in enumerate(pivots):
             if base[pc] != 0:
@@ -276,46 +282,6 @@ class AffineSubspace:
         return tuple((row, dot(row, self.base)) for row in normals)
 
 
-class Empty:
-    """Marker for an empty intersection of affine subspaces."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Empty"
-
-
-EMPTY = Empty()
-
-
-def subspace_intersect(a: AffineSubspace, b: AffineSubspace):
-    """Intersection of two affine subspaces: a canonical subspace or EMPTY."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    # Solve base_a + x.Ua = base_b + y.Ub for (x, y).
-    cols = [list(r) for r in a.directions] + [[-e for e in r] for r in b.directions]
-    system = transpose(mat(cols)) if cols else ()
-    rhs = sub(b.base, a.base)
-    if not system:
-        if not is_zero_vec(rhs):
-            return EMPTY
-        point = a.base
-    else:
-        sol = solve(system, rhs)
-        if sol is None:
-            return EMPTY
-        point = a.base
-        for xi, row in zip(sol[: a.dim], a.directions):
-            point = add(point, scale(row, xi))
-    dirs = direction_intersect([a, b])
-    return AffineSubspace.from_point_and_directions(point, dirs)
-
-
 def direction_intersect(spaces: Sequence[AffineSubspace]) -> Mat:
     """Canonical RREF basis of the intersection of the direction spaces."""
     if not spaces:
@@ -323,15 +289,7 @@ def direction_intersect(spaces: Sequence[AffineSubspace]) -> Mat:
     n = spaces[0].ambient_dim
     if any(s.ambient_dim != n for s in spaces):
         raise DimensionMismatch("ambient dimensions differ")
-    constraints: list[Vec] = []
-    for s in spaces:
-        if s.dim == n:
-            continue
-        normals = nullspace(s.directions, n) if s.directions else identity(n)
-        constraints.extend(normals)
-    if not constraints:
-        return identity(n)
-    return nullspace(tuple(constraints), n)
+    return nullspace(tuple(row for s in spaces for row, _ in s.equations()), n)
 
 
 # ---------------------------------------------------------------------------
@@ -387,107 +345,32 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
         r += 1
         if r == len(rows):
             break
-    return [row for row in rows[:r]]
+    return rows[:r]
 
 
 def hnf_lattice_basis(generators: Mat) -> Mat:
     """HNF basis of the sublattice of Z^n spanned by integer generator rows."""
-    rows = _require_integral(generators)
-    return mat(_hnf_rows(rows))
+    return mat(_hnf_rows(_require_integral(generators)))
 
 
 def kernel_lattice(b_t: Mat, n: int) -> Mat:
     """HNF basis of Z^n ∩ ker(b_t) for an integral k x n matrix of rank k.
 
-    Computed by integer column reduction with a unimodular transform, so the
-    result is a basis of the full saturated kernel lattice.
+    Read off the HNF of the n rows (column i of b_t | e_i): row operations
+    over Z keep every row of the form (b_t.u | u) with u integral, so the HNF
+    rows whose first k entries vanish end in the HNF basis of the kernel
+    lattice (Cohen 1993, A Course in Computational Algebraic Number Theory,
+    §2.4), and the other rows number rank(b_t).
     """
     rows = _require_integral(b_t)
     k = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("b_t shape does not match n")
-    if rank(mat(rows)) != k:
+    hnf = _hnf_rows([[r[i] for r in rows] + [int(i == j) for j in range(n)] for i in range(n)])
+    kernel = [r[k:] for r in hnf if not any(r[:k])]
+    if len(kernel) != n - k:
         raise RankDeficient("b_t must have full row rank")
-    work = [r[:] for r in rows]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op(j_dst: int, j_src: int, q: int) -> None:
-        for i in range(k):
-            work[i][j_dst] -= q * work[i][j_src]
-        for i in range(n):
-            v[i][j_dst] -= q * v[i][j_src]
-
-    def col_swap(j1: int, j2: int) -> None:
-        for i in range(k):
-            work[i][j1], work[i][j2] = work[i][j2], work[i][j1]
-        for i in range(n):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
-
-    row = 0
-    for col in range(n):
-        if row >= k:
-            break
-        live = [j for j in range(col, n) if work[row][j] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(work[row][j]))
-            j0 = live[0]
-            for j in live[1:]:
-                col_op(j, j0, work[row][j] // work[row][j0])
-            live = [j for j in live if work[row][j] != 0]
-        if live[0] != col:
-            col_swap(live[0], col)
-        row += 1
-    kernel_cols = [j for j in range(n) if all(work[i][j] == 0 for i in range(k))]
-    gens = [[v[i][j] for i in range(n)] for j in kernel_cols]
-    return mat(_hnf_rows(gens))
-
-
-def smith_invariants(m: Mat) -> list[int]:
-    """Elementary divisors of an integer matrix (nonnegative, divisibility chain)."""
-    a = _require_integral(m)
-    if not a or not a[0]:
-        return []
-    nr, nc = len(a), len(a[0])
-    divisors = []
-    top = 0
-    while top < min(nr, nc):
-        nonzero = [(i, j) for i in range(top, nr) for j in range(top, nc) if a[i][j] != 0]
-        if not nonzero:
-            break
-        i0, j0 = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[top], r[j0] = r[j0], r[top]
-        dirty = False
-        for i in range(top + 1, nr):
-            q = a[i][top] // a[top][top]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-            if a[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, nc):
-            q = a[top][j] // a[top][top]
-            if q:
-                for i in range(nr):
-                    a[i][j] -= q * a[i][top]
-            if a[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        piv = abs(a[top][top])
-        bad = next(
-            ((i, j) for i in range(top + 1, nr) for j in range(top + 1, nc) if a[i][j] % piv != 0),
-            None,
-        )
-        if bad is not None:
-            i, _ = bad
-            a[top] = [x + y for x, y in zip(a[top], a[i])]
-            continue
-        divisors.append(piv)
-        top += 1
-    return divisors
+    return mat(kernel)
 
 
 def integer_row_basis(rows: Mat) -> Mat:
@@ -502,16 +385,9 @@ def integer_row_basis(rows: Mat) -> Mat:
     basis = row_space_basis(rows)
     if not basis:
         return ()
-    normals = nullspace(basis, n)
-    if not normals:
-        return mat(_hnf_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
-    cleared = []
-    for row in normals:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        cleared.append([int(x * lcm) for x in row])
-    return kernel_lattice(mat(cleared), n)
+    # the kernel of the normals is the span, whatever positive scaling makes them integral
+    normals = tuple(primitive_functional(row, ZERO)[0] for row in nullspace(basis, n))
+    return kernel_lattice(normals, n)
 
 
 def primitive_functional(coeffs: Vec, offset: Fraction) -> tuple[Vec, Fraction]:

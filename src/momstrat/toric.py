@@ -25,6 +25,8 @@ from .linalg import (
     Vec,
     det,
     dot,
+    hnf_lattice_basis,
+    identity,
     integer_row_basis,
     kernel_lattice,
     mat,
@@ -33,7 +35,6 @@ from .linalg import (
     rank,
     row_space_basis,
     rref,
-    smith_invariants,
     solve,
     transpose,
     unit,
@@ -44,7 +45,6 @@ from .polyhedron import (
     HPolytope,
     RelOpenCell,
     cell_key,
-    hpolytope_from_points,
     project_relint,
 )
 from .stratifier import Stratification, stratify
@@ -107,9 +107,9 @@ class ToricAction:
         return momentum_cover(self)
 
     def is_effective(self) -> bool:
-        """The subtorus embeds iff the Smith form of B has all divisors one."""
-        inv = smith_invariants(self.B)
-        return len(inv) == self.k and all(d == 1 for d in inv)
+        """The subtorus embeds iff the rows of B span Z^k: all elementary
+        divisors of B are one exactly when its HNF is the identity."""
+        return hnf_lattice_basis(self.B) == identity(self.k)
 
     def is_delzant(self) -> bool:
         """Each vertex must lie on exactly n facets whose primitive normals
@@ -154,19 +154,25 @@ def isotropy_for_face(a: ToricAction, f: Face) -> IsotropyData:
 
 
 def face_image_cells(a: ToricAction) -> tuple[tuple[Face, RelOpenCell], ...]:
-    """Every nonempty face paired with the projection of its relative interior."""
+    """Every nonempty face paired with the projection of its relative interior.
+
+    Faces with one image share one cell object, so each distinct image keeps
+    one copy of its cached data (most faces of a polytope over a small torus
+    have the same image).
+    """
     b_t = a.projection
-    return tuple((f, project_relint(f, b_t)) for f in a.polytope.lattice.nonempty_faces())
+    shared: dict[RelOpenCell, RelOpenCell] = {}
+    pairs = []
+    for f in a.polytope.lattice.nonempty_faces():
+        cell = project_relint(f, b_t)
+        pairs.append((f, shared.setdefault(cell, cell)))
+    return tuple(pairs)
 
 
 def momentum_cover(a: ToricAction) -> PiecewiseAffineCover:
     """Cover of the momentum image by projected open faces, deduplicated."""
-    pairs = a.face_images
-    dedup = {cell_key(cell): cell for _, cell in pairs}
-    members = [dedup[key] for key in sorted(dedup)]
-    pts = [v for _, cell in pairs for v in cell.closure_vertices]
-    support = hpolytope_from_points(pts)
-    return PiecewiseAffineCover.make(members, (support,))
+    dedup = {cell_key(cell): cell for _, cell in a.face_images}
+    return PiecewiseAffineCover.make([dedup[key] for key in sorted(dedup)])
 
 
 # The two chart types are NamedTuples: a frozen dataclass costs about 1 ms

@@ -22,7 +22,6 @@ from momstrat import (
     verify_frontier,
 )
 from momstrat.linalg import AffineSubspace, add, direction_intersect, scale
-from momstrat.polyhedron import hpolytope_from_points
 from momstrat.toric import isotropy_at
 from support import (
     box_cell,
@@ -147,7 +146,7 @@ def test_criterion_4_stratification_axioms():
         # bit-identical under member permutation
         members = list(cov.members)
         rng.shuffle(members)
-        if stratify(PiecewiseAffineCover.make(members, cov.support_closure)) != stratify(cov):
+        if stratify(PiecewiseAffineCover.make(members)) != stratify(cov):
             problems.append((idx, "permutation", None))
         # bit-identical under unimodular change of coordinates
         from momstrat import ToricAction
@@ -215,12 +214,7 @@ def test_criterion_6_density_degree_and_exactness():
 
 def test_criterion_7_counterexample_rejection():
     box = box_cell([[-1, -1], [-1, 1], [1, -1], [1, 1]])
-    support = hpolytope_from_points(
-        [vec([-1, -1]), vec([-1, 1]), vec([1, -1]), vec([1, 1])]
-    )
-    cover = PiecewiseAffineCover.make(
-        [segment_cell([-1, 0], [0, 0]), segment_cell([0, 0], [1, 0]), box], [support]
-    )
+    cover = PiecewiseAffineCover.make([segment_cell([-1, 0], [0, 0]), segment_cell([0, 0], [1, 0]), box])
     report = validate(cover)
     ok = (
         not report.valid

@@ -305,6 +305,45 @@ def test_cli_oracle(tmp_path):
     assert data["points"][0]["sigmas_off"] <= 4
 
 
+@pytest.mark.parametrize(
+    "spec, density",
+    [
+        pytest.param(
+            {
+                "ambient_dim": 2,
+                "inequalities": [
+                    {"normal": [-1, 0], "offset": "0"},
+                    {"normal": [0, -1], "offset": "0"},
+                    {"normal": [1, 1], "offset": "2"},
+                ],
+                "subtorus_matrix": [[], []],
+            },
+            "2",
+            id="triangle",
+        ),
+        pytest.param(
+            {"ambient_dim": 0, "inequalities": [{"normal": [], "offset": "1"}], "subtorus_matrix": []},
+            "1",
+            id="point",
+        ),
+    ],
+)
+def test_cli_dh_trivial_subtorus_ends(tmp_path, spec, density):
+    """With k = 0 the image is one point: its density is the fiber volume
+    there, with no held-out point to wait for."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "momstrat.cli", "dh", str(path), "--seed", "0"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (stratum,) = json.loads(proc.stdout)["strata"]
+    assert stratum["density"]["coefficients"] == [{"exponents": [], "value": density}]
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "momstrat.cli", "stratify", str(INPUTS / "simplex_sum.json")],
@@ -330,6 +369,16 @@ def _square_spec(normal=(1, 0), offset="1", matrix=((1, 0), (0, 1))):
         "inequalities": [{"normal": n, "offset": o} for n, o in rows],
         "subtorus_matrix": [list(r) for r in matrix],
     }
+
+
+def _segment_cover(ambient_dim=2, support=()):
+    """A one-member cover file: the open segment from (0, 0) to (1, 0)."""
+    data = {"members": [{"closure_vertices": [["0", "0"], ["1", "0"]]}]}
+    if ambient_dim is not None:
+        data["ambient_dim"] = ambient_dim
+    if support:
+        data["support_closure"] = [{"vertices": vertices} for vertices in support]
+    return data
 
 
 def _paper_document(**first_stratum):
@@ -457,6 +506,17 @@ def _density(*exponents):
         ),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),
+        pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2", "--trials", "0"), id="oracle-zero-trials"),
+        pytest.param(
+            "oracle", _square_spec(), ("--point", "1/2,1/2", "--trials", "-5"), id="oracle-negative-trials"
+        ),
+        pytest.param("oracle", _square_spec(), ("--samples", "0"), id="oracle-zero-samples"),
+        pytest.param("oracle", _square_spec(), ("--samples", "-5"), id="oracle-negative-samples"),
+        pytest.param("stratify", _segment_cover(ambient_dim=3), (), id="cover-member-dimension"),
+        pytest.param(
+            "stratify", _segment_cover(support=[[["0"], ["1"]]]), (), id="cover-support-vertex-dimension"
+        ),
+        pytest.param("stratify", _segment_cover(ambient_dim=None), (), id="cover-no-ambient-dim"),
     ],
 )
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, command, payload, options):

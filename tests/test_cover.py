@@ -5,7 +5,6 @@ import pytest
 from momstrat import PiecewiseAffineCover, membership_signature, validate, vec
 from momstrat.cover import refined_cells, support_sample_points
 from momstrat.errors import PointOutsideSupport
-from momstrat.polyhedron import hpolytope_from_points
 from momstrat.toric import momentum_cover
 from support import box_cell, paper_action, point_cell, segment_cell
 
@@ -16,8 +15,7 @@ def counterexample_cover():
     box = box_cell([[-1, -1], [-1, 1], [1, -1], [1, 1]])
     left = segment_cell([-1, 0], [0, 0])
     right = segment_cell([0, 0], [1, 0])
-    support = hpolytope_from_points([vec([-1, -1]), vec([-1, 1]), vec([1, -1]), vec([1, 1])])
-    return PiecewiseAffineCover.make([left, right, box], [support])
+    return PiecewiseAffineCover.make([left, right, box])
 
 
 def test_validate_rejects_counterexample():

@@ -1,20 +1,27 @@
+"""Exact linear and lattice algebra.  The column reduction that gave the
+kernel lattice and the Smith form that decided effectiveness are kept here
+as references for the one HNF routine that replaced them."""
+
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momstrat import (
-    EMPTY,
     AffineSubspace,
+    HPolytope,
+    ToricAction,
     direction_intersect,
     hnf_lattice_basis,
     kernel_lattice,
     mat,
     rref,
-    subspace_intersect,
     vec,
 )
-from momstrat.errors import DimensionMismatch, NonIntegralInput, RankDeficient
+from momstrat.errors import NonIntegralInput, RankDeficient
 from momstrat.linalg import (
     dot,
     in_row_space,
@@ -22,7 +29,6 @@ from momstrat.linalg import (
     nullspace,
     rank,
     row_space_basis,
-    smith_invariants,
 )
 
 F = Fraction
@@ -72,43 +78,6 @@ def test_rref_idempotent_random():
 
 def plane(base, dirs, n=3):
     return AffineSubspace.from_point_and_directions(vec(base), mat(dirs))
-
-
-def test_subspace_intersect_idempotent():
-    p = plane([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-    assert subspace_intersect(p, p) == p
-
-
-def test_subspace_intersect_transverse_lines():
-    a = AffineSubspace.from_point_and_directions(vec([0, 0]), mat([[0, 1]]))  # x = 0
-    b = AffineSubspace.from_point_and_directions(vec([0, 0]), mat([[1, 0]]))  # y = 0
-    c = subspace_intersect(a, b)
-    assert c.dim == 0
-    assert c.base == vec([0, 0])
-
-
-def test_subspace_intersect_planes_in_r3():
-    # {x+y=3} ∩ {x=1} = the line {x=1, y=2, z free}, solved by hand
-    a = AffineSubspace.from_point_and_directions(vec([3, 0, 0]), mat([[1, -1, 0], [0, 0, 1]]))
-    b = AffineSubspace.from_point_and_directions(vec([1, 0, 0]), mat([[0, 1, 0], [0, 0, 1]]))
-    c = subspace_intersect(a, b)
-    assert c.dim == 1
-    assert c.contains(vec([1, 2, 0]))
-    assert c.contains(vec([1, 2, 5]))
-    assert not c.contains(vec([1, 1, 0]))
-
-
-def test_subspace_intersect_disjoint():
-    a = AffineSubspace.from_point_and_directions(vec([0, 0]), mat([[1, 0]]))  # y = 0
-    b = AffineSubspace.from_point_and_directions(vec([0, 1]), mat([[1, 0]]))  # y = 1
-    assert subspace_intersect(a, b) is EMPTY
-
-
-def test_subspace_intersect_dim_mismatch():
-    a = AffineSubspace.from_point_and_directions(vec([0, 0]), mat([[1, 0]]))
-    b = AffineSubspace.from_point_and_directions(vec([0, 0, 0]), mat([[1, 0, 0]]))
-    with pytest.raises(DimensionMismatch):
-        subspace_intersect(a, b)
 
 
 def test_direction_intersect_single():
@@ -237,32 +206,6 @@ def test_canonical_encoding_construction_order():
             assert other == s1
 
 
-def test_subspace_intersect_commutative_associative():
-    rng = random.Random(23)
-    trials = 0
-    while trials < 20:
-        n = rng.randint(2, 5)
-
-        def rand_sub():
-            d = rng.randint(0, n)
-            pts = [vec([F(rng.randint(-3, 3)) for _ in range(n)]) for _ in range(d + 1)]
-            return AffineSubspace.from_points(pts)
-
-        a, b, c = rand_sub(), rand_sub(), rand_sub()
-        ab = subspace_intersect(a, b)
-        ba = subspace_intersect(b, a)
-        assert ab == ba
-        if ab is EMPTY:
-            continue
-        bc = subspace_intersect(b, c)
-        if bc is EMPTY:
-            continue
-        left = subspace_intersect(ab, c)
-        right = subspace_intersect(a, bc)
-        assert left == right
-        trials += 1
-
-
 def test_direction_intersect_membership_property():
     rng = random.Random(29)
     for _ in range(25):
@@ -283,11 +226,23 @@ def test_direction_intersect_membership_property():
                     assert in_row_space(row, inter)
 
 
-def test_smith_invariants():
-    assert smith_invariants(mat([[2, 0], [0, 3]])) == [1, 6]
-    assert smith_invariants(mat([[1, 0], [0, 1]])) == [1, 1]
-    assert smith_invariants(mat([[2]])) == [2]
-    assert smith_invariants(mat([[2, 4], [2, 4]])) == [2]
+def _action(n: int, b) -> ToricAction:
+    """The subtorus B (n x k) over the cube [-1, 1]^n; ``is_effective`` reads B alone."""
+    rows = [[s if j == i else 0 for j in range(n)] for i in range(n) for s in (1, -1)]
+    return ToricAction(HPolytope.from_rows(rows, [1] * len(rows)), mat(b))
+
+
+@pytest.mark.parametrize(
+    "b, effective",
+    [
+        ([[2, 0], [0, 3]], False),  # elementary divisors 1, 6
+        ([[1, 0], [0, 1]], True),
+        ([[2]], False),
+        ([[2, 4], [2, 4]], False),  # rank 1 < k = 2
+    ],
+)
+def test_is_effective_hand_cases(b, effective):
+    assert _action(len(b), b).is_effective() is effective
 
 
 def test_integer_row_basis_saturates():
@@ -295,3 +250,166 @@ def test_integer_row_basis_saturates():
     assert basis == mat([[1, 1]])
     basis = integer_row_basis(mat([[2, 0], [0, 2]]))
     assert basis == mat([[1, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the HNF routine against the eliminations it replaced
+
+
+def reference_kernel_lattice(b_t, n):
+    """HNF basis of Z^n ∩ ker(b_t) by integer column reduction of b_t, with
+    the unimodular transform V kept: the columns of V under zero columns of
+    b_t.V span the kernel lattice."""
+    work = [[int(x) for x in row] for row in b_t]
+    k = len(work)
+    if rank(mat(work)) != k:
+        raise RankDeficient("b_t must have full row rank")
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_op(j_dst, j_src, q):
+        for m in (work, v):
+            for r in m:
+                r[j_dst] -= q * r[j_src]
+
+    def col_swap(j1, j2):
+        for m in (work, v):
+            for r in m:
+                r[j1], r[j2] = r[j2], r[j1]
+
+    row = 0
+    for col in range(n):
+        if row >= k:
+            break
+        live = [j for j in range(col, n) if work[row][j] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(work[row][j]))
+            for j in live[1:]:
+                col_op(j, live[0], work[row][j] // work[row][live[0]])
+            live = [j for j in live if work[row][j] != 0]
+        if live[0] != col:
+            col_swap(live[0], col)
+        row += 1
+    kernel_cols = [j for j in range(n) if all(work[i][j] == 0 for i in range(k))]
+    return hnf_lattice_basis(mat([[v[i][j] for i in range(n)] for j in kernel_cols]))
+
+
+def reference_smith_invariants(m):
+    """Elementary divisors of an integer matrix (nonnegative, divisibility chain)."""
+    a = [[int(x) for x in row] for row in m]
+    if not a or not a[0]:
+        return []
+    nr, nc = len(a), len(a[0])
+    divisors = []
+    top = 0
+    while top < min(nr, nc):
+        nonzero = [(i, j) for i in range(top, nr) for j in range(top, nc) if a[i][j] != 0]
+        if not nonzero:
+            break
+        i0, j0 = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
+        a[top], a[i0] = a[i0], a[top]
+        for r in a:
+            r[top], r[j0] = r[j0], r[top]
+        dirty = False
+        for i in range(top + 1, nr):
+            q = a[i][top] // a[top][top]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+            dirty = dirty or a[i][top] != 0
+        for j in range(top + 1, nc):
+            q = a[top][j] // a[top][top]
+            if q:
+                for r in a:
+                    r[j] -= q * r[top]
+            dirty = dirty or a[top][j] != 0
+        if dirty:
+            continue
+        piv = abs(a[top][top])
+        bad = next((i for i in range(top + 1, nr) for j in range(top + 1, nc) if a[i][j] % piv), None)
+        if bad is not None:
+            a[top] = [x + y for x, y in zip(a[top], a[bad])]
+            continue
+        divisors.append(piv)
+        top += 1
+    return divisors
+
+
+def reference_integer_row_basis(rows):
+    """The saturation of the row space: the kernel lattice of its cleared
+    normals, or Z^n itself when the rows span R^n."""
+    if not rows:
+        return ()
+    n = len(rows[0])
+    basis = row_space_basis(rows)
+    if not basis:
+        return ()
+    normals = nullspace(basis, n)
+    if not normals:
+        return hnf_lattice_basis(mat([[int(i == j) for j in range(n)] for i in range(n)]))
+    cleared = []
+    for row in normals:
+        lcm = 1
+        for x in row:
+            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+        cleared.append([int(x * lcm) for x in row])
+    return reference_kernel_lattice(mat(cleared), n)
+
+
+LATTICE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+@st.composite
+def integer_matrices(draw):
+    """(n, b_t): an integer k x n matrix, n <= 7, k <= n, entries in [-9, 9]."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=n))
+    entry = st.integers(min_value=-9, max_value=9)
+    return n, mat(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(n, rows): ``integer_matrices`` with each entry divided by 1 to 4."""
+    n, m = draw(integer_matrices())
+    return n, tuple(tuple(x / draw(st.integers(min_value=1, max_value=4)) for x in row) for row in m)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RankDeficient:
+        return RankDeficient
+
+
+@LATTICE_SETTINGS
+@given(integer_matrices())
+@example((3, ()))
+@example((3, mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+@example((3, mat([[1, 2, 3], [2, 4, 6]])))
+@example((4, mat([[2, 4, 6, 8]])))
+def test_kernel_lattice_matches_column_reduction(case):
+    n, b_t = case
+    assert _outcome(kernel_lattice, b_t, n) == _outcome(reference_kernel_lattice, b_t, n)
+
+
+@LATTICE_SETTINGS
+@given(integer_matrices())
+@example((2, ()))
+@example((2, mat([[2, 0], [0, 3]])))
+@example((2, mat([[1, 2], [2, 4]])))
+def test_is_effective_matches_smith(case):
+    n, b_t = case
+    b = tuple(zip(*b_t)) if b_t else ((),) * n
+    divisors = reference_smith_invariants(b)
+    assert _action(n, b).is_effective() == (len(divisors) == len(b_t) and set(divisors) <= {1})
+
+
+@LATTICE_SETTINGS
+@given(rational_matrices())
+@example((3, ()))
+@example((2, mat([["1/2", "1/3"], ["1/4", "1/6"]])))
+@example((2, mat([[2, 0], [0, 2]])))
+def test_integer_row_basis_matches_reference(case):
+    _, rows = case
+    assert integer_row_basis(rows) == reference_integer_row_basis(rows)

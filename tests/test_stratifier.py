@@ -116,7 +116,7 @@ def test_stratify_invariant_under_member_permutation():
     members = list(cov.members)
     for _ in range(3):
         rng.shuffle(members)
-        permuted = PiecewiseAffineCover.make(members, cov.support_closure)
+        permuted = PiecewiseAffineCover.make(members)
         s2 = stratify(permuted)
         assert s1 == s2
 

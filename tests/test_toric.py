@@ -261,5 +261,5 @@ def test_stratification_invariant_under_member_permutation_corpus():
         s1 = stratify(cov)
         members = list(cov.members)
         random.Random(5).shuffle(members)
-        cov2 = momstrat.PiecewiseAffineCover.make(members, cov.support_closure)
+        cov2 = momstrat.PiecewiseAffineCover.make(members)
         assert stratify(cov2) == s1
