@@ -19,7 +19,6 @@ from .polyhedron import (  # noqa: F401
     FaceLattice,
     HPolytope,
     RelOpenCell,
-    cell_contains,
     cell_from_closure_points,
     common_refinement,
     face_lattice,

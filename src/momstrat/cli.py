@@ -147,6 +147,8 @@ def cmd_oracle(args) -> int:
         tops = [st for st in s.strata if st.dim == obj.k]
         for st in tops:
             points.extend(st.cells[0].interior_points(max(1, args.samples // max(len(tops), 1)), rng))
+        # a 0-dimensional cell gives its one point every time
+        points = list(dict.fromkeys(points))
     rows = []
     for x in points:
         exact = fiber_volume(obj, x).volume

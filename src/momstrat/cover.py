@@ -104,7 +104,3 @@ def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
         raise PointOutsideSupport(f"{x} lies in no cover member")
     return sig
 
-
-def support_sample_points(c: PiecewiseAffineCover) -> list[Vec]:
-    """One interior rational point per refined piece (covers the support)."""
-    return [piece.sample_point() for piece in c.pieces]

@@ -64,7 +64,7 @@ from .linalg import (
     det,
     dot,
     mat,
-    rref,
+    rank,
     solve,
     sub,
     vec,
@@ -235,7 +235,7 @@ def density_polynomial(
         if x in used:
             continue
         candidate = rows + [_monomial_row(x, monomials)]
-        if len(rref(mat(candidate))[1]) == len(candidate):
+        if rank(mat(candidate)) == len(candidate):
             rows.append(candidate[-1])
             rhs.append(fiber_volume(a, x).volume)
             used.add(x)

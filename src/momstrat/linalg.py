@@ -6,6 +6,11 @@ a tuple of them (``Vec``) or a tuple of row tuples (``Mat``).  Tuples make
 all values hashable and immutable, so equal objects compare and hash equal
 bit-for-bit, which the rest of the package relies on for deduplication.
 
+There is one rational elimination, the fraction-free ``_eliminate``, run on
+rows scaled to integers; ``Fraction`` arithmetic appears only at its output.
+``rref`` divides the rows by the last pivot, so the RREF stays canonical,
+and ``det`` is the last pivot over the product of the row scales.
+
 Affine subspaces are stored in a canonical form: the direction basis is the
 reduced row echelon form of any spanning set, and the base point is reduced
 to have zero coordinates in the pivot columns.  Two equal subspaces therefore
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NonIntegralInput, RankDeficient
@@ -93,17 +98,58 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
 def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
+
+
+def _integer_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, with the product of those
+    lcms: the rows become integral and keep their row space."""
+    rows, scale = [], 1
+    for row in m:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
+
+
+def _eliminate(m: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Each step sets every other row x to (p.x - f.y) // prev, with y the pivot
+    row, p its pivot, f the entry of x in the pivot column and prev the last
+    pivot: exact, as every entry stays a minor of the input.  Returns the
+    rows, which are the last pivot d times the RREF, the pivot columns and d.
+    A swap negates the row it moves down, so d is the determinant of a
+    square matrix of full rank.
+    """
+    rows = list(m)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], [-x for x in rows[r]]
+        y = rows[r]
+        p = y[c]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * z) // prev for x, z in zip(rows[i], y)]
+        pivots.append(c)
+        prev = p
+        if r + 1 == nrows:
+            break
+    return rows, pivots, prev
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -113,27 +159,8 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     zero rows sink to the bottom.  The result is the unique RREF of the
     row space, so it doubles as a canonical encoding.
     """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), pivots
+    red, pivots, d = _eliminate(_integer_rows(m)[0])
+    return tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in red), pivots
 
 
 def row_space_basis(m: Mat) -> Mat:
@@ -143,7 +170,7 @@ def row_space_basis(m: Mat) -> Mat:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(_integer_rows(m)[0])[1])
 
 
 def nullspace(m: Mat, ncols: int | None = None) -> Mat:
@@ -181,33 +208,11 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 
 
 def det(rows: Sequence[Vec]) -> Fraction:
-    """Exact determinant of a square matrix by Gaussian elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    result = ONE
-    for i in range(n):
-        piv = next((j for j in range(i, n) if a[j][i] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            result = -result
-        result *= a[i][i]
-        inv = ONE / a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] * inv
-                a[j] = [u - f * v for u, v in zip(a[j], a[i])]
-    return result
-
-
-def in_row_space(v: Vec, basis: Mat) -> bool:
-    """Exact membership of v in the span of the basis rows."""
-    if is_zero_vec(v):
-        return True
-    if not basis:
-        return False
-    return rank(basis + (v,)) == rank(basis)
+    """Exact determinant of a square matrix: the last pivot of the integer
+    elimination over the product of the row scales."""
+    ints, scale = _integer_rows(rows)
+    _, pivots, d = _eliminate(ints)
+    return Fraction(d, scale) if len(pivots) == len(rows) else ZERO
 
 
 @dataclass(frozen=True)
@@ -392,14 +397,10 @@ def integer_row_basis(rows: Mat) -> Mat:
 
 def primitive_functional(coeffs: Vec, offset: Fraction) -> tuple[Vec, Fraction]:
     """Scale (a, beta) by a positive rational so a is integral primitive."""
-    lcm = 1
-    for x in coeffs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in coeffs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    m = lcm(*(x.denominator for x in coeffs))
+    ints = [x.numerator * (m // x.denominator) for x in coeffs]
+    g = gcd(*ints)
     if g == 0:
-        return zeros(len(coeffs)), offset * lcm
-    s = Fraction(lcm, g)
+        return zeros(len(coeffs)), offset * m
+    s = Fraction(m, g)
     return tuple(Fraction(i // g) for i in ints), offset * s

@@ -6,10 +6,12 @@ from vertex-facet incidence alone: ``_facets`` gives the facets of a face S,
 a bit set of points, as the maximal proper nonempty sets S & t over the tight
 sets t.  The face lattice, ``_cell``, ``closure_faces`` and the volume fans of
 ``dh`` all use it, with no rank.  One tight-basis scan, ``_kernel_lines``,
-yields the kernel line of every k rows of rank k in k + 1 homogeneous
-coordinates; it gives the vertices (``enumerate_vertices``), the extreme rays
-that decide boundedness (``is_bounded``) and the hyperplanes through points
-(``_hyperplanes``).
+yields the kernel line of every k integer rows of rank k in k + 1
+homogeneous coordinates, as an integer vector read off the fraction-free
+elimination of ``linalg`` (``_eliminate``); any nonzero multiple serves.  It
+gives the vertices (``enumerate_vertices``), the extreme rays that decide
+boundedness (``is_bounded``) and the hyperplanes through points
+(``_hyperplanes``), with the rows scaled to integers first.
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
@@ -21,8 +23,7 @@ cells have bit-identical encodings whatever the candidates.  Callers pass
 the rows they already hold: ``split_cell`` the cell's facet rows and the
 cut, ``closure_faces`` the facet rows of the closure a face came from,
 ``common_refinement`` the rows of the polytope.  Only
-``cell_from_closure_points`` (and so ``hpolytope_from_points``, which reads
-its rows off that cell) tries every hyperplane through d affinely
+``cell_from_closure_points`` tries every hyperplane through d affinely
 independent points.  The faces of a cell's closure are cells too; the
 refinement and frontier tests read one as a closed set through an explicit
 ``closed`` flag.
@@ -56,8 +57,8 @@ coordinate), and ``_int_sample``, the sample point in integer form, which
 the point tests of ``meets``, ``uncovered_point`` and the cover validation
 share.  They serve the point tests, the box tests, ``_within_closure``,
 ``_closures_separated`` and every tight set.  Crossing points, carriers,
-restricted rows, ``enumerate_vertices`` and everything returned stay
-``Fraction``.
+restricted rows and everything returned stay ``Fraction``; the tight-basis
+scan converts only the vertices and the facet rows it returns.
 
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
@@ -71,7 +72,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import and_, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -82,13 +83,14 @@ from .linalg import (
     AffineSubspace,
     Mat,
     Vec,
+    _eliminate,
+    _integer_rows,
     add,
     dot,
     mat,
     mat_vec,
     primitive_functional,
     rank,
-    rref,
     scale,
     sub,
     vec,
@@ -200,16 +202,18 @@ class HPolytope:
         return face_lattice(self)
 
 
-def _kernel_lines(rows: Sequence[Vec], k: int) -> Iterator[Vec]:
-    """The tight-basis scan: for each k-subset of the homogeneous rows (each
-    of length k + 1) whose kernel is a line, a vector spanning that line,
-    read off one ``rref`` of the subset with its free coordinate set to 1."""
+def _kernel_lines(rows: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
+    """The tight-basis scan: for each k-subset of the integer homogeneous rows
+    (each of length k + 1) whose kernel is a line, an integer vector spanning
+    that line, read off the integer elimination ``_eliminate`` of the subset:
+    the last pivot at the free coordinate, minus that column's entry of each
+    reduced row at the row's pivot."""
     for subset in itertools.combinations(rows, k):
-        red, pivots = rref(subset)
+        red, pivots, d = _eliminate(subset)
         if len(pivots) == k:
             free = next((c for c, pc in enumerate(pivots) if c != pc), k)
-            z = [ZERO] * (k + 1)
-            z[free] = ONE
+            z = [0] * (k + 1)
+            z[free] = d
             for r, pc in zip(red, pivots):
                 z[pc] = -r[free]
             yield tuple(z)
@@ -220,25 +224,31 @@ def is_bounded(p: HPolytope) -> bool:
     alone.  With rank A = n the cone is pointed, and a pointed cone other
     than the origin has an extreme ray, which spans the kernel line of n - 1
     independent rows of A (Schrijver 1986, section 8.8); so it suffices that
-    neither r nor -r lies in the cone for any such line r."""
+    neither r nor -r lies in the cone for any such line r.  The rows are
+    scaled to integers, which keeps every sign."""
     n = p.ambient_dim
     if n == 0:
         return True
-    values = ([dot(a, r) for a in p.A] for r in _kernel_lines(p.A, n - 1))
+    rows = _integer_rows(p.A)[0]
+    values = ([sum(map(mul, a, r)) for a in rows] for r in _kernel_lines(rows, n - 1))
     return rank(p.A) == n and all(min(v) < 0 < max(v) for v in values)
 
 
 def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
     """All vertices of {x : a.x <= beta} by exhaustive tight-basis
-    enumeration: each kernel line z of dim rows (a, -beta) with z[dim] != 0
-    gives the candidate point z[:dim] / z[dim]."""
-    found: set[Vec] = set()
-    for z in _kernel_lines([vec((*a, -b)) for a, b in rows], dim):
+    enumeration: each kernel line z of dim rows (a, -beta), scaled to
+    integers, with z[dim] != 0 gives the candidate point z[:dim] / z[dim].
+    Candidates are kept as primitive lines with z[dim] > 0 and tested in
+    integers: the point is feasible when every row has (a, -beta).z <= 0."""
+    ints = _integer_rows([(*a, -b) for a, b in rows])[0]
+    found: set[tuple[int, ...]] = set()
+    for z in _kernel_lines(ints, dim):
         if z[dim]:
-            pt = scale(z[:dim], 1 / z[dim])
-            if pt not in found and all(dot(a, pt) <= b for a, b in rows):
-                found.add(pt)
-    return sorted(found)
+            g = gcd(*z) if z[dim] > 0 else -gcd(*z)
+            z = tuple(c // g for c in z)
+            if z not in found and all(sum(map(mul, a, z)) <= 0 for a in ints):
+                found.add(z)
+    return sorted(tuple(Fraction(c, z[dim]) for c in z[:dim]) for z in found)
 
 
 def vertices(p: HPolytope) -> list[Vec]:
@@ -458,11 +468,12 @@ class RelOpenCell:
         return pts
 
 
-def _hyperplanes(local: Sequence[Vec], d: int) -> Iterable[Functional]:
+def _hyperplanes(local: Sequence[Vec], d: int) -> Iterable[IntRow]:
     """Every hyperplane a.x = beta through d affinely independent points of
-    ``local``: the kernel line (a, beta) of their rows (p, -1)."""
-    for z in _kernel_lines([(*p, -ONE) for p in local], d):
-        yield z[:d], z[d]
+    ``local``, as the integer row of the kernel line (a, beta) of their rows
+    (p, -1)."""
+    for z in _kernel_lines(_integer_rows([(*p, -ONE) for p in local])[0], d):
+        yield z[:d], z[d], 1
 
 
 def _smallest_face(facets: Iterable[int], points: int, count: int) -> int:
@@ -487,16 +498,16 @@ def _cell(points: Iterable[Vec], candidates: Iterable[Functional] | None) -> Rel
     local = [carrier.to_local(p) for p in pts]
     scan = candidates is None
     frame = _int_points(local if scan else pts)
-    faces: dict[int, tuple[Functional, bool]] = {}  # tight points as a bit set -> (row, holds as is)
+    faces: dict[int, tuple[Functional | IntRow, bool]] = {}  # tight points as a bit set -> (row, holds as is)
     for f in _hyperplanes(local, carrier.dim) if scan else candidates:
-        vals = _excesses(_int_row(f), frame)
+        vals = _excesses(f if scan else _int_row(f), frame)
         lo, hi = min(vals), max(vals)
         if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
             faces.setdefault(_zeros(vals), (f, hi == 0))
     rows: dict[Functional, int] = {}
     for tight in _facets((1 << len(pts)) - 1, faces):
         f, holds = faces[tight]
-        a, b = f if scan else _restrict_functional(carrier, *f)
+        a, b = (vec(f[0]), Fraction(f[1])) if scan else _restrict_functional(carrier, *f)
         rows[_canon_row((a, b) if holds else (tuple(-c for c in a), -b))] = tight
     order = sorted(rows)
     verts = [p for i, p in enumerate(pts) if _smallest_face(rows.values(), 1 << i, len(pts)) == 1 << i]
@@ -508,14 +519,6 @@ def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
     """Canonical cell whose closure is conv(points), its facets found among
     the hyperplanes through the points."""
     return _cell((vec(p) for p in points), None)
-
-
-def hpolytope_from_points(points: Sequence[Vec]) -> HPolytope:
-    """Ambient H-description of conv(points) (affine hull as paired rows)."""
-    cell = cell_from_closure_points(points)
-    rows = [r for a, b in cell.ambient_equations for r in ((a, b), (tuple(-c for c in a), -b))]
-    rows += cell.ambient_facet_rows
-    return HPolytope(mat(r[0] for r in rows), vec(r[1] for r in rows))
 
 
 def cell_key(c: RelOpenCell):
@@ -530,10 +533,6 @@ def project_relint(f: Face, b_t: Mat) -> RelOpenCell:
     if rank(b_t) != len(b_t):
         raise RankDeficient("projection matrix must have full row rank")
     return cell_from_closure_points([mat_vec(b_t, v) for v in f.vertex_coords])
-
-
-def cell_contains(c: RelOpenCell, x) -> bool:
-    return c.contains(vec(x))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,33 @@ from fractions import Fraction
 from functools import lru_cache
 
 from momstrat import HPolytope, ToricAction, mat, vec
-from momstrat.linalg import AffineSubspace, Mat, Vec, mat_vec, rank, row_space_basis, transpose
+from momstrat.linalg import AffineSubspace, Mat, Vec, dot, is_zero_vec, mat_vec, rank, row_space_basis, transpose
 from momstrat.polyhedron import RelOpenCell, cell_from_closure_points, cell_key
 from momstrat.stratifier import Stratification, Stratum
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Exact matrix product."""
+    bt = transpose(b)
+    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+
+
+def in_row_space(v: Vec, basis: Mat) -> bool:
+    """Exact membership of v in the span of the basis rows."""
+    if is_zero_vec(v):
+        return True
+    if not basis:
+        return False
+    return rank(basis + (v,)) == rank(basis)
+
+
+def hpolytope_from_points(points) -> HPolytope:
+    """Ambient H-description of conv(points): the carrier equations as
+    paired rows, then the facet rows of the canonical cell."""
+    cell = cell_from_closure_points(points)
+    rows = [r for a, b in cell.ambient_equations for r in ((a, b), (tuple(-c for c in a), -b))]
+    rows += cell.ambient_facet_rows
+    return HPolytope(mat(r[0] for r in rows), vec(r[1] for r in rows))
 
 
 def prism_polytope() -> HPolytope:

@@ -26,6 +26,7 @@ from momstrat.toric import isotropy_at
 from support import (
     box_cell,
     corpus,
+    mat_mul,
     paper_action,
     random_unimodular,
     segment_cell,
@@ -150,7 +151,7 @@ def test_criterion_4_stratification_axioms():
             problems.append((idx, "permutation", None))
         # bit-identical under unimodular change of coordinates
         from momstrat import ToricAction
-        from momstrat.linalg import mat_mul, transpose
+        from momstrat.linalg import transpose
 
         u = random_unimodular(rng, a.k)
         transformed = ToricAction.make(a.polytope, mat_mul(a.B, transpose(u)))

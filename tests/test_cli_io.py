@@ -344,6 +344,25 @@ def test_cli_dh_trivial_subtorus_ends(tmp_path, spec, density):
     assert stratum["density"]["coefficients"] == [{"exponents": [], "value": density}]
 
 
+def test_cli_oracle_trivial_subtorus_one_row(tmp_path):
+    """With k = 0 the one top stratum is a point, drawn once however many
+    samples are asked for."""
+    spec = {
+        "ambient_dim": 2,
+        "inequalities": [
+            {"normal": [-1, 0], "offset": "0"},
+            {"normal": [0, -1], "offset": "0"},
+            {"normal": [1, 1], "offset": "2"},
+        ],
+        "subtorus_matrix": [[], []],
+    }
+    path, out = tmp_path / "spec.json", tmp_path / "oracle.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("oracle", str(path), "--trials", "200", "--out", str(out)) == 0
+    (row,) = json.loads(out.read_text())["points"]
+    assert row["point"] == [] and row["exact"] == "2"
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "momstrat.cli", "stratify", str(INPUTS / "simplex_sum.json")],

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from momstrat import PiecewiseAffineCover, membership_signature, validate, vec
-from momstrat.cover import refined_cells, support_sample_points
+from momstrat.cover import refined_cells
 from momstrat.errors import PointOutsideSupport
 from momstrat.toric import momentum_cover
 from support import box_cell, paper_action, point_cell, segment_cell
@@ -80,7 +80,7 @@ def test_membership_signature_outside_support():
 
 def test_signatures_nonempty_on_support_samples():
     cov = momentum_cover(paper_action())
-    for x in support_sample_points(cov):
+    for x in (piece.sample_point() for piece in cov.pieces):
         assert membership_signature(cov, x)
 
 

@@ -1,6 +1,8 @@
 """Exact linear and lattice algebra.  The column reduction that gave the
 kernel lattice and the Smith form that decided effectiveness are kept here
-as references for the one HNF routine that replaced them."""
+as references for the one HNF routine that replaced them, and the
+``Fraction`` Gauss-Jordan and determinant loops as references for the one
+fraction-free elimination under ``rref`` and ``det``."""
 
 import random
 from fractions import Fraction
@@ -23,13 +25,14 @@ from momstrat import (
 )
 from momstrat.errors import NonIntegralInput, RankDeficient
 from momstrat.linalg import (
+    det,
     dot,
-    in_row_space,
     integer_row_basis,
     nullspace,
     rank,
     row_space_basis,
 )
+from support import in_row_space
 
 F = Fraction
 
@@ -413,3 +416,101 @@ def test_is_effective_matches_smith(case):
 def test_integer_row_basis_matches_reference(case):
     _, rows = case
     assert integer_row_basis(rows) == reference_integer_row_basis(rows)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction loops it replaced
+
+
+def reference_rref(m):
+    """Gauss-Jordan elimination in ``Fraction`` arithmetic: normalize each
+    pivot row, then clear the pivot column above and below."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def reference_det(rows):
+    """Gaussian elimination in ``Fraction`` arithmetic: the product of the
+    pivots, negated once per row swap."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    result = F(1)
+    for i in range(n):
+        piv = next((j for j in range(i, n) if a[j][i] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            result = -result
+        result *= a[i][i]
+        inv = 1 / a[i][i]
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] * inv
+                a[j] = [u - f * v for u, v in zip(a[j], a[i])]
+    return result
+
+
+@st.composite
+def elimination_matrices(draw, square=False):
+    """A rational matrix with up to 5 rows and 6 columns (square when asked),
+    entries p / q with |p| <= 6 and q <= 5; a row may repeat another, and a
+    row and a column may be set to zero."""
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = nrows if square else draw(st.integers(min_value=0, max_value=6))
+    entry = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    index = st.integers(min_value=0, max_value=max(nrows - 1, 0))
+    if rows and draw(st.booleans()):
+        rows[draw(index)] = rows[draw(index)]
+    if rows and draw(st.booleans()):
+        rows[draw(index)] = [F(0)] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(min_value=0, max_value=ncols - 1))
+        rows = [row[:c] + [F(0)] + row[c + 1 :] for row in rows]
+    return tuple(tuple(row) for row in rows)
+
+
+@LATTICE_SETTINGS
+@given(elimination_matrices())
+@example(())
+@example(((), ()))
+@example(mat([[0, 0], [0, 0]]))
+@example(mat([[0, 2, 4], [0, 1, 2], [0, 0, 0]]))
+@example(mat([["1/2", "1/3", 1], ["1/4", "1/6", "1/2"], ["2/3", 0, "-5/4"]]))
+def test_rref_matches_fraction_gauss_jordan(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == reference_rref(m)
+    assert all(type(x) is F for row in red for x in row)
+    assert rank(m) == len(pivots)
+
+
+@LATTICE_SETTINGS
+@given(elimination_matrices(square=True))
+@example(())
+@example(mat([[0]]))
+@example(mat([[1, 2], [2, 4]]))
+@example(mat([[0, 1], [1, 0]]))
+@example(mat([["1/2", "1/3"], ["1/4", "1/6"]]))
+@example(mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+def test_det_matches_fraction_elimination(m):
+    assert det(m) == reference_det(m)

@@ -2,12 +2,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from momstrat import (
     HPolytope,
-    cell_contains,
     common_refinement,
     face_lattice,
     mat,
@@ -20,13 +20,13 @@ from momstrat.polyhedron import (
     cell_from_closure_points,
     cell_key,
     closure_faces,
-    hpolytope_from_points,
     is_bounded,
     meets,
     split_cell,
 )
 from support import (
     box_cell,
+    hpolytope_from_points,
     paper_action,
     point_cell,
     prism_polytope,
@@ -90,6 +90,13 @@ def test_face_lattice_prism():
 def test_face_lattice_simplex():
     counts = _dim_counts(face_lattice(simplex2_scaled(1)))
     assert counts == Counter({0: 3, 1: 3, 2: 1})
+
+
+def test_face_lattice_six_cube():
+    # the cube [-1, 1]^6 has C(6, i) * 2^(6 - i) faces of dimension i
+    rows = [[s if j == i else 0 for j in range(6)] for i in range(6) for s in (1, -1)]
+    counts = _dim_counts(face_lattice(HPolytope.from_rows(rows, [1] * 12)))
+    assert counts == Counter({i: comb(6, i) * 2 ** (6 - i) for i in range(7)})
 
 
 def test_face_lattice_graded_and_vertex_intersection():
@@ -205,9 +212,9 @@ def test_project_relint_rank_deficient():
 
 def test_cell_contains_open_segment():
     seg = segment_cell([1, 0], [1, 3])
-    assert cell_contains(seg, [1, 2])
-    assert not cell_contains(seg, [1, 3])
-    assert not cell_contains(seg, [2, 2])
+    assert seg.contains(vec([1, 2]))
+    assert not seg.contains(vec([1, 3]))
+    assert not seg.contains(vec([2, 2]))
 
 
 def _carrier_local_membership(cell, x, closed):
@@ -371,7 +378,7 @@ def test_cell_contains_dimension_mismatch():
 
     seg = segment_cell([1, 0], [1, 3])
     with pytest.raises(DimensionMismatch):
-        cell_contains(seg, [1, 2, 3])
+        seg.contains(vec([1, 2, 3]))
 
 
 def test_common_refinement_dimension_mismatch():

@@ -22,6 +22,7 @@ from momstrat.toric import momentum_cover
 from support import (
     box_cell,
     corpus,
+    hpolytope_from_points,
     paper_action,
     point_cell,
     segment_cell,
@@ -229,7 +230,6 @@ def test_stratum_refinement_of_coarser_partition():
     fine = stratify(momentum_cover(action))
     from momstrat import ToricAction
     from momstrat.linalg import identity as id_mat
-    from momstrat.polyhedron import hpolytope_from_points
 
     image_pts = [v for st in fine.strata for c in st.cells for v in c.closure_vertices]
     image = hpolytope_from_points(image_pts)
@@ -273,9 +273,7 @@ def test_strata_partition_support():
     s = stratify(cov)
     rng = random.Random(9)
     # every refined-piece sample and random interior point lies in exactly one stratum
-    from momstrat.cover import support_sample_points
-
-    pts = support_sample_points(cov)
+    pts = [piece.sample_point() for piece in cov.pieces]
     for st in s.strata:
         for cell in st.cells:
             pts.extend(cell.interior_points(2, rng))

@@ -24,10 +24,12 @@ from momstrat.errors import (
     RankDeficient,
     UnboundedPolytope,
 )
-from momstrat.linalg import identity, in_row_space, row_space_basis
+from momstrat.linalg import identity, row_space_basis
 from momstrat.toric import isotropy_for_face, face_image_cells
 from support import (
     corpus,
+    in_row_space,
+    mat_mul,
     paper_action,
     random_unimodular,
     simplex_sum_action,
@@ -244,7 +246,7 @@ def test_unimodular_invariance_paper():
     rng = random.Random(7)
     for _ in range(3):
         u = random_unimodular(rng, a.k)
-        from momstrat.linalg import mat_mul, transpose
+        from momstrat.linalg import transpose
 
         b_new = mat_mul(a.B, transpose(u))
         transformed_action = ToricAction.make(a.polytope, b_new, "transformed")
