@@ -20,7 +20,6 @@ from .polyhedron import (  # noqa: F401
     HPolytope,
     RelOpenCell,
     cell_from_closure_points,
-    common_refinement,
     face_lattice,
     project_relint,
     vertices,

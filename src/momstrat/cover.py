@@ -4,17 +4,21 @@ A cover is a finite ordered collection of relatively open cells whose union
 is the supported set.  The two cover axioms checked here: every member is
 open in its affine hull (true by construction of ``RelOpenCell``), and the
 closure of each member inside the support is again a union of members.
+Membership in each member and in its closure is constant on every piece, so
+``incidence`` reads it once, at one sample point per piece, as bit sets that
+validation and the direction field share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import Vec, vec
-from .polyhedron import RelOpenCell, _refine_engine, _within_closure
+from .polyhedron import RelOpenCell, _refine_engine
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,20 @@ class PiecewiseAffineCover:
     def pieces(self) -> tuple[RelOpenCell, ...]:
         """``refined_cells`` of this cover, computed on first use."""
         return refined_cells(self)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, int], ...]:
+        """Per member, the bit sets over ``pieces`` of the pieces inside it
+        and of those inside its closure (bit j for ``pieces[j]``)."""
+        inside, closure = [0] * len(self.members), [0] * len(self.members)
+        for j, piece in enumerate(self.pieces):
+            s, bit = piece._int_sample, 1 << j
+            for i, m in enumerate(self.members):
+                if m._holds(s, strict=False):
+                    closure[i] |= bit
+                    if m._holds(s, strict=True):
+                        inside[i] |= bit
+        return tuple(zip(inside, closure))
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -64,36 +82,28 @@ def refined_cells(c: PiecewiseAffineCover) -> tuple[RelOpenCell, ...]:
     """The canonical partition of the support underlying every refinement use.
 
     Pieces are the sign classes of the refinement cut set intersected with
-    the members; overlapping members produce identical pieces, deduplicated
-    by their canonical encodings.
+    the members, sorted by ``cell_key``; overlapping members produce
+    identical pieces, deduplicated by their canonical encodings.
     """
-    return tuple(_refine_engine(c.members, c.members))
+    return tuple(_refine_engine(c.members))
 
 
 def validate(c: PiecewiseAffineCover) -> ValidationReport:
     """Check the closure condition for every member; never raises.
 
     For member P the closure within the support X is Cl(P) ∩ X; it equals a
-    union of members iff every refined piece inside Cl(P) lies in some member
-    that is itself contained in Cl(P).
+    union of members iff every piece inside Cl(P) lies in some member Q
+    contained in Cl(P): as pieces refine the members, in some Q all of whose
+    pieces are inside Cl(P).  The witness is the first piece left uncovered.
     """
-    pieces = c.pieces
+    table = c.incidence
     reports = []
-    valid = True
-    for i, p in enumerate(c.members):
-        contained = tuple(j for j, q in enumerate(c.members) if _within_closure(q, p))
-        witness = None
-        for piece in pieces:
-            s = piece._int_sample  # converted once per piece, shared by every member
-            if not p._holds(s, strict=False):
-                continue
-            if not any(c.members[j]._holds(s, strict=True) for j in contained):
-                witness = piece.sample_point()
-                break
-        covered = witness is None
-        valid = valid and covered
-        reports.append(MemberReport(i, True, covered, contained, witness))
-    return ValidationReport(valid, tuple(reports))
+    for i, (_, closure) in enumerate(table):
+        contained = tuple(j for j, (inside, _) in enumerate(table) if not inside & ~closure)
+        uncovered = closure & ~reduce(or_, (table[j][0] for j in contained), 0)
+        witness = c.pieces[(uncovered & -uncovered).bit_length() - 1].sample_point() if uncovered else None
+        reports.append(MemberReport(i, True, not uncovered, contained, witness))
+    return ValidationReport(all(r.closure_covered for r in reports), tuple(reports))
 
 
 def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
@@ -103,4 +113,3 @@ def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
     if not sig:
         raise PointOutsideSupport(f"{x} lies in no cover member")
     return sig
-

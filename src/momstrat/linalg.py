@@ -174,22 +174,25 @@ def rank(m: Mat) -> int:
 
 
 def nullspace(m: Mat, ncols: int | None = None) -> Mat:
-    """Canonical basis of {x : m @ x = 0}, returned as rows in RREF."""
+    """Canonical basis of {x : m @ x = 0}, returned as rows in RREF.
+
+    One elimination of m with its columns reversed: there the kernel vector
+    of a free column ends at it and vanishes at the other free columns, so
+    reversed back, by increasing leading column, the vectors are in RREF."""
     if not m:
         if ncols is None:
             raise DimensionMismatch("nullspace of empty matrix needs ncols")
         return identity(ncols)
     n = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(n) if c not in pivots]
+    red, pivots, d = _eliminate(_integer_rows([row[::-1] for row in m])[0])
     basis = []
-    for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return row_space_basis(tuple(basis)) if basis else ()
+    for fc in reversed([c for c in range(n) if c not in pivots]):
+        v = [0] * n
+        v[fc] = d
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(Fraction(x, d) if x else ZERO for x in reversed(v)))
+    return tuple(basis)
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

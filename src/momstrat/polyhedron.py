@@ -21,9 +21,8 @@ closure and candidate rows among which its facets lie: it keeps the rows
 that hold on every point and are tight on a maximal set of them, so equal
 cells have bit-identical encodings whatever the candidates.  Callers pass
 the rows they already hold: ``split_cell`` the cell's facet rows and the
-cut, ``closure_faces`` the facet rows of the closure a face came from,
-``common_refinement`` the rows of the polytope.  Only
-``cell_from_closure_points`` tries every hyperplane through d affinely
+cut, ``closure_faces`` the facet rows of the closure a face came from.
+Only ``cell_from_closure_points`` tries every hyperplane through d affinely
 independent points.  The faces of a cell's closure are cells too; the
 refinement and frontier tests read one as a closed set through an explicit
 ``closed`` flag.
@@ -54,8 +53,8 @@ these forms beside its ``Fraction`` data (``_int_equations``,
 ``_int_facet_rows``, ``_int_vertices`` and ``bbox``, whose corners share the
 vertices' denominator, so a box test is one cross-multiplication per
 coordinate), and ``_int_sample``, the sample point in integer form, which
-the point tests of ``meets``, ``uncovered_point`` and the cover validation
-share.  They serve the point tests, the box tests, ``_within_closure``,
+the point tests of ``meets``, ``uncovered_point`` and the cover's incidence
+table share.  They serve the point tests, the box tests, ``_within_closure``,
 ``_closures_separated`` and every tight set.  Crossing points, carriers,
 restricted rows and everything returned stay ``Fraction``; the tight-basis
 scan converts only the vertices and the facet rows it returns.
@@ -421,7 +420,8 @@ class RelOpenCell:
     @cached_property
     def _int_sample(self) -> IntPoint:
         """The sample point as (n, d) with x = n / d."""
-        return self._int_point(self._centroid)
+        (n,), d = _int_points((self._centroid,))
+        return n, d
 
     def _int_point(self, x: Vec) -> IntPoint:
         """x as (n, d) with x = n / d, after the dimension check."""
@@ -714,7 +714,7 @@ def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional
 
 
 def _distinct(cells: Iterable[RelOpenCell]) -> dict:
-    """The cells by ``cell_key``, each kept as first seen: overlapping regions
+    """The cells by ``cell_key``, each kept as first seen: overlapping cells
     give identical classes, and a cell that a cut left intact keeps the data
     it has cached."""
     out: dict = {}
@@ -723,13 +723,14 @@ def _distinct(cells: Iterable[RelOpenCell]) -> dict:
     return out
 
 
-def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell]) -> list[RelOpenCell]:
-    """Refine the regions until membership in every cell and in every face of
-    every cell's closure is constant per piece.
+def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
+    """Refine the cells until membership in every cell and in every face of
+    every cell's closure is constant per piece; the pieces come sorted by
+    ``cell_key``.
 
     Order invariant: the cut set grows by globally collected demands and the
     final pieces are the sign classes of that set intersected with the
-    regions, independent of any processing order.  An object all of whose
+    cells, independent of any processing order.  An object all of whose
     defining hyperplanes are already cuts is sign-determined and needs no
     geometric test.
     """
@@ -737,7 +738,7 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
     objects += [(face, True) for face in closure_faces(cells)]
     obj_funcs = [frozenset(_object_functionals(obj)) for obj, _ in objects]
     cuts: set[Functional] = _initial_cuts(objects)
-    pieces = _distinct(regions)
+    pieces = _distinct(cells)
     pending = sorted(cuts)
     while True:
         for cut in pending:
@@ -753,22 +754,3 @@ def _refine_engine(cells: Sequence[RelOpenCell], regions: Sequence[RelOpenCell])
             return [pieces[k] for k in sorted(pieces)]
         cuts |= new
         pending = sorted(new)
-
-
-def common_refinement(cells: Sequence[RelOpenCell], within) -> list[RelOpenCell]:
-    """Partition `within` so membership in every input cell and in every face
-    of every input cell's closure is constant on each output cell.
-
-    `within` may be a relatively open cell (the partition covers exactly that
-    set) or a closed HPolytope (the partition covers the whole polytope,
-    boundary faces included).
-    """
-    if isinstance(within, HPolytope):
-        rows = list(zip(within.A, within.b))
-        regions = [_cell(f.vertex_coords, rows) for f in within.lattice.nonempty_faces()]
-    else:
-        regions = [within]
-    n = regions[0].ambient_dim
-    if any(c.ambient_dim != n for c in cells):
-        raise DimensionMismatch("cells and region live in different ambient spaces")
-    return _refine_engine(cells, regions)

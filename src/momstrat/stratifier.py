@@ -42,10 +42,12 @@ class Stratum:
         return self.cells[0].sample_point()
 
     def contains(self, x: Vec) -> bool:
-        return any(cell.contains(x) for cell in self.cells)
+        point = self.cells[0]._int_point(x)  # converted once, shared by every cell
+        return any(cell._holds(point, strict=True) for cell in self.cells)
 
     def closure_contains(self, x: Vec) -> bool:
-        return any(cell.closure_contains(x) for cell in self.cells)
+        point = self.cells[0]._int_point(x)
+        return any(cell._holds(point, strict=False) for cell in self.cells)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ def _point(x: Vec) -> str:
 
 
 def compute_d_field(c: PiecewiseAffineCover) -> tuple[tuple[RelOpenCell, Mat], ...]:
-    """Refine the support and intersect member directions along signatures:
-    (piece, direction space) pairs sorted by piece."""
+    """Intersect member directions along the signatures in ``c.incidence``:
+    (piece, direction space) pairs in the order of ``c.pieces``, by cell_key."""
     report = c.validation
     if not report.valid:
         bad = report.member_reports[report.offending_members()[0]]
@@ -69,13 +71,14 @@ def compute_d_field(c: PiecewiseAffineCover) -> tuple[tuple[RelOpenCell, Mat], .
             f"cover fails the closure condition: the closure of member {bad.member_index} "
             f"holds {_point(bad.uncovered_witness)}, which no member inside it covers"
         )
-    entries = []
-    for piece in c.pieces:
-        sig = membership_signature(c, piece.sample_point())
-        direction = direction_intersect([c.members[i].carrier for i in sig])
-        entries.append((piece, direction))
-    entries.sort(key=lambda e: cell_key(e[0]))
-    return tuple(entries)
+    sigs: list[list[int]] = [[] for _ in c.pieces]
+    for i, (inside, _) in enumerate(c.incidence):
+        while inside:
+            low = inside & -inside
+            sigs[low.bit_length() - 1].append(i)
+            inside ^= low
+    carriers = [m.carrier for m in c.members]
+    return tuple((piece, direction_intersect([carriers[i] for i in sig])) for piece, sig in zip(c.pieces, sigs))
 
 
 def _translate_through(piece: RelOpenCell, direction: Mat) -> AffineSubspace:
@@ -84,7 +87,7 @@ def _translate_through(piece: RelOpenCell, direction: Mat) -> AffineSubspace:
 
 def stratify(c: PiecewiseAffineCover) -> Stratification:
     """The unique stratification of the support induced by the cover."""
-    groups: dict[AffineSubspace, list[tuple[RelOpenCell, Mat]]] = {}
+    groups: dict[AffineSubspace, list[RelOpenCell]] = {}  # pieces in d-field order, by cell_key
     for piece, direction in compute_d_field(c):
         translate = _translate_through(piece, direction)
         if not all(translate.contains(v) for v in piece.closure_vertices):
@@ -92,12 +95,11 @@ def stratify(c: PiecewiseAffineCover) -> Stratification:
                 f"refined piece at {_point(piece.sample_point())} "
                 "leaves the translate of its direction space"
             )
-        groups.setdefault(translate, []).append((piece, direction))
+        groups.setdefault(translate, []).append(piece)
 
     strata_raw = []
     for translate in sorted(groups, key=lambda t: (t.dim, t.base, t.directions)):
-        entries = sorted(groups[translate], key=lambda e: cell_key(e[0]))
-        cells = [e[0] for e in entries]
+        cells = groups[translate]
         r = translate.dim
         tops = [i for i, cell in enumerate(cells) if cell.dim == r]
         lowers = [i for i, cell in enumerate(cells) if cell.dim < r]

@@ -206,7 +206,8 @@ class FiberCharts(NamedTuple):
 
     def over(self, x: Vec) -> list[FiberChart]:
         """The charts of the fiber vertices over x, one per vertex."""
-        return [chart for cell, charts in self.cells if cell.contains(x) for chart in charts]
+        point = self.cells[0][0]._int_point(x)  # converted once, shared by every cell
+        return [chart for cell, charts in self.cells if cell._holds(point, strict=True) for chart in charts]
 
 
 def fiber_vertex_charts(a: ToricAction) -> FiberCharts:
@@ -252,7 +253,8 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
 
 
 def faces_through(a: ToricAction, x: Vec) -> list[tuple[Face, RelOpenCell]]:
-    return [(f, cell) for f, cell in a.face_images if cell.contains(x)]
+    point = a.face_images[0][1]._int_point(x)  # converted once, shared by every face
+    return [(f, cell) for f, cell in a.face_images if cell._holds(point, strict=True)]
 
 
 def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:

@@ -1,8 +1,9 @@
 """Exact linear and lattice algebra.  The column reduction that gave the
 kernel lattice and the Smith form that decided effectiveness are kept here
-as references for the one HNF routine that replaced them, and the
-``Fraction`` Gauss-Jordan and determinant loops as references for the one
-fraction-free elimination under ``rref`` and ``det``."""
+as references for the one HNF routine that replaced them, the ``Fraction``
+Gauss-Jordan and determinant loops as references for the one fraction-free
+elimination under ``rref`` and ``det``, and the two-pass kernel basis as the
+reference for ``nullspace``, which eliminates once."""
 
 import random
 from fractions import Fraction
@@ -502,6 +503,40 @@ def test_rref_matches_fraction_gauss_jordan(m):
     assert (red, pivots) == reference_rref(m)
     assert all(type(x) is F for row in red for x in row)
     assert rank(m) == len(pivots)
+
+
+def reference_nullspace(m, ncols=None):
+    """Kernel vectors read off the RREF of m, then put in RREF by a second
+    elimination."""
+    if not m:
+        return mat([[int(i == j) for j in range(ncols)] for i in range(ncols)])
+    n = len(m[0])
+    red, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(tuple(v))
+    return row_space_basis(tuple(basis)) if basis else ()
+
+
+@LATTICE_SETTINGS
+@given(elimination_matrices())
+@example(())
+@example(((), ()))
+@example(mat([[0, 0, 0]]))
+@example(mat([[1, 2, 3], [1, 2, 3]]))
+@example(mat([[0, 2, 4], [0, 1, 2], [0, 0, 0]]))
+@example(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example(mat([["1/2", "1/3", 1, 0], ["1/4", "1/6", "1/2", 0]]))
+def test_nullspace_matches_two_pass_reference(m):
+    ncols = None if m else 3
+    basis = nullspace(m, ncols)
+    assert basis == reference_nullspace(m, ncols)
+    assert all(type(x) is F for row in basis for x in row)
+    assert all(dot(row, v) == 0 for row in m for v in basis)
 
 
 @LATTICE_SETTINGS

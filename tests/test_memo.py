@@ -1,9 +1,9 @@
 """Memoization lives on the objects it describes, never in module tables.
 
 Each expensive derived result (a polytope's face lattice, a cover's
-refinement and validation, an action's projected faces and fiber charts) is
-computed once per object and dropped with it; these tests pin that down by
-counting calls.
+refinement, incidence table and validation, an action's projected faces and
+fiber charts) is computed once per object and dropped with it; these tests
+pin that down by counting calls.
 """
 
 import importlib
@@ -16,6 +16,8 @@ from pathlib import Path
 import momstrat
 from momstrat import (
     ToricAction,
+    compute_d_field,
+    cover as cover_module,
     density_polynomial,
     hamiltonian_stratification,
     mat,
@@ -24,7 +26,9 @@ from momstrat import (
     polyhedron,
     stratify,
     toric,
+    validate,
 )
+from momstrat.polyhedron import RelOpenCell
 from momstrat.cli import main
 from support import paper_action, prism_polytope
 
@@ -64,6 +68,19 @@ def test_stratify_cover_refines_once(monkeypatch):
     calls = _count_calls(monkeypatch, polyhedron, "_refine_engine")
     stratify(cover)
     assert len(calls) == 1
+
+
+def test_validation_and_d_field_read_the_incidence_table(monkeypatch):
+    cover = momentum_cover(paper_action())
+    assert cover.pieces  # refined before counting: the refinement tests geometry itself
+    within = _count_calls(monkeypatch, polyhedron, "_within_closure")
+    signatures = _count_calls(monkeypatch, cover_module, "membership_signature")
+    conversions = []
+    original = RelOpenCell._int_point
+    monkeypatch.setattr(RelOpenCell, "_int_point", lambda cell, x: conversions.append(x) or original(cell, x))
+    assert validate(cover).valid
+    assert len(compute_d_field(cover)) == len(cover.pieces)
+    assert (within, signatures, conversions) == ([], [], [])
 
 
 def test_hamiltonian_stratification_refines_once(monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 
 from momstrat import (
     HPolytope,
-    common_refinement,
     face_lattice,
     mat,
     project_relint,
@@ -26,9 +25,7 @@ from momstrat.polyhedron import (
 )
 from support import (
     box_cell,
-    hpolytope_from_points,
     paper_action,
-    point_cell,
     prism_polytope,
     random_toric_instance,
     segment_cell,
@@ -250,65 +247,6 @@ def test_point_tests_match_carrier_local_reference():
                 assert cell.closure_contains(x) == _carrier_local_membership(cell, x, closed=True)
 
 
-def test_common_refinement_single_cut():
-    square = box_cell([[0, 0], [0, 2], [2, 0], [2, 2]])
-    cut = segment_cell([1, 0], [1, 2])
-    out = common_refinement([cut], square)
-    assert Counter(c.dim for c in out) == Counter({2: 2, 1: 1})
-    mid = [c for c in out if c.dim == 1][0]
-    assert mid.contains(vec([1, 1]))
-
-
-def test_common_refinement_paper_delta():
-    from momstrat.toric import momentum_cover
-
-    cov = momentum_cover(paper_action())
-    delta = hpolytope_from_points([[F(0), F(0)], [F(4), F(0)], [F(1), F(3)], [F(0), F(3)]])
-    out = common_refinement(list(cov.members), delta)
-    assert Counter(c.dim for c in out) == Counter({0: 7, 1: 10, 2: 4})
-
-
-def test_common_refinement_interval_point():
-    interval = segment_cell([0], [2])
-    out = common_refinement([point_cell([1])], interval)
-    keys = sorted((c.dim, tuple(map(tuple, c.closure_vertices))) for c in out)
-    assert Counter(c.dim for c in out) == Counter({0: 1, 1: 2})
-    pt = [c for c in out if c.dim == 0][0]
-    assert pt.closure_vertices == mat([[1]])
-
-
-def test_common_refinement_partition_properties():
-    rng = random.Random(41)
-    square = box_cell([[0, 0], [0, 2], [2, 0], [2, 2]])
-    cells = [
-        segment_cell([1, 0], [1, 2]),
-        segment_cell([0, 1], [2, 1]),
-        box_cell([["1/2", "1/2"], ["1/2", "3/2"], ["3/2", "1/2"], ["3/2", "3/2"]]),
-        point_cell([1, 1]),
-    ]
-    out = common_refinement(cells, square)
-    # pairwise disjoint: sample of one cell is in no other
-    for a in out:
-        s = a.sample_point()
-        assert sum(1 for b in out if b.contains(s)) == 1
-    # random points of the square lie in exactly one output cell
-    for _ in range(40):
-        x = vec([F(rng.randint(1, 79), 40), F(rng.randint(1, 79), 40)])
-        assert sum(1 for b in out if b.contains(x)) == 1
-    # membership in every input cell is constant per output cell
-    for piece in out:
-        pts = [piece.sample_point()] + piece.interior_points(3, random.Random(1))
-        for cell in cells:
-            flags = {cell.contains(x) for x in pts}
-            assert len(flags) == 1
-    # each output is contained in or disjoint from each input cell
-    for piece in out:
-        for cell in cells:
-            inside = cell.contains(piece.sample_point())
-            for x in piece.interior_points(3, random.Random(2)):
-                assert cell.contains(x) == inside
-
-
 def test_split_cell_signs():
     square = box_cell([[0, 0], [0, 2], [2, 0], [2, 2]])
     parts = split_cell(square, (vec([1, 0]), F(1)))
@@ -379,11 +317,3 @@ def test_cell_contains_dimension_mismatch():
     seg = segment_cell([1, 0], [1, 3])
     with pytest.raises(DimensionMismatch):
         seg.contains(vec([1, 2, 3]))
-
-
-def test_common_refinement_dimension_mismatch():
-    from momstrat.errors import DimensionMismatch
-
-    square = box_cell([[0, 0], [0, 2], [2, 0], [2, 2]])
-    with pytest.raises(DimensionMismatch):
-        common_refinement([point_cell([1])], square)

@@ -17,6 +17,7 @@ from momstrat import (
     vec,
 )
 from momstrat.errors import (
+    DimensionMismatch,
     EmptyPolytope,
     NonEffectiveAction,
     NonIntegralInput,
@@ -25,7 +26,7 @@ from momstrat.errors import (
     UnboundedPolytope,
 )
 from momstrat.linalg import identity, row_space_basis
-from momstrat.toric import isotropy_for_face, face_image_cells
+from momstrat.toric import face_image_cells, faces_through, isotropy_for_face
 from support import (
     corpus,
     in_row_space,
@@ -265,3 +266,12 @@ def test_stratification_invariant_under_member_permutation_corpus():
         random.Random(5).shuffle(members)
         cov2 = momstrat.PiecewiseAffineCover.make(members)
         assert stratify(cov2) == s1
+
+
+def test_point_location_rejects_wrong_length_point():
+    action = paper_action()
+    stratum = hamiltonian_stratification(action).strata[0]
+    locators = [stratum.contains, stratum.closure_contains, action.fiber_charts.over]
+    for locate in locators + [lambda x: faces_through(action, x), lambda x: isotropy_at(action, x)]:
+        with pytest.raises(DimensionMismatch):
+            locate(vec([1, 2, 3]))
