@@ -33,13 +33,19 @@ This module alone decides cell membership:
   and ``RelOpenCell.closure_contains``, from the cached ambient rows;
 - does a cell lie in another's closure?  ``_within_closure``, from the
   closure vertices;
+- which hyperplane of a family of cells separates two cells?  A
+  ``_SignTable`` over the family: per cell, bit sets of the family's
+  hyperplanes that its closure lies below, above or off, worked out once, so
+  that each pair is a few bit operations.  The refinement builds one over
+  its members and closure faces, the frontier check one over the
+  stratification's cells; a table lives for that one call;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
   both the refinement (through ``_membership_constant``) and the frontier
-  check call.  The refinement's pieces are plain cells with no record of
-  their signs: ``meets`` itself tells a piece that misses an object, after a
-  box test, a sample-point test and ``_closures_separated``, by splitting x
-  by the object's hyperplanes (``_split_by``) and testing one sample point
-  per piece;
+  check call with the table they built.  The refinement's pieces are plain
+  cells with no record of their signs: ``meets`` tries the table, the boxes
+  and x's sample point, then tells a piece that misses an object by
+  splitting x by the object's hyperplanes (``_split_by``) and testing one
+  sample point per piece;
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None, by the same split and sample test.
 
@@ -55,7 +61,7 @@ vertices' denominator, so a box test is one cross-multiplication per
 coordinate), and ``_int_sample``, the sample point in integer form, which
 the point tests of ``meets``, ``uncovered_point`` and the cover's incidence
 table share.  They serve the point tests, the box tests, ``_within_closure``,
-``_closures_separated`` and every tight set.  Crossing points, carriers,
+the sign tables and every tight set.  Crossing points, carriers,
 restricted rows and everything returned stay ``Fraction``; the tight-basis
 scan converts only the vertices and the facet rows it returns.
 
@@ -600,68 +606,106 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 # (closed=False) or as its closure (closed=True).
 
 
-def _cells_bbox(cells: Iterable[RelOpenCell]) -> Box:
-    """Bounding box of the union of the cells' closures."""
-    return _bbox(_int_points(v for c in cells for v in c.closure_vertices))
-
-
 def _bbox_disjoint(b1: Box, b2: Box) -> bool:
     (lo1, hi1, d1), (lo2, hi2, d2) = b1, b2
     return any(h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
 
 
+def _box_within(inner: Box, outer: Box) -> bool:
+    (lo1, hi1, d1), (lo2, hi2, d2) = inner, outer
+    return all(l2 * d1 <= l1 * d2 and h1 * d2 <= h2 * d1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+
+
+def _box_union(boxes: Sequence[Box]) -> Box:
+    """The smallest box holding the given ones, over the lcm of their denominators."""
+    if len(boxes) == 1:
+        return boxes[0]
+    d = lcm(*(e for _, _, e in boxes))
+    lo = [[c * (d // e) for c in l] for l, _, e in boxes]
+    hi = [[c * (d // e) for c in h] for _, h, e in boxes]
+    return tuple(map(min, zip(*lo))), tuple(map(max, zip(*hi))), d
+
+
 def _within_closure(x: RelOpenCell, obj: RelOpenCell) -> bool:
     """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj)."""
     verts = x._int_vertices
-    (lo, hi, e), (xlo, xhi, d) = obj.bbox, x.bbox
     return (
-        all(l * d <= c * e for l, c in zip(lo, xlo))
-        and all(c * e <= h * d for c, h in zip(xhi, hi))
+        _box_within(x.bbox, obj.bbox)
         and not any(any(_excesses(r, verts)) for r in obj._int_equations)
         and all(max(_excesses(r, verts)) <= 0 for r in obj._int_facet_rows)
     )
 
 
-def _closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
-    """Cheap sufficient test for x ∩ Cl(obj) = ∅ (x relatively open).
+class _SignTable:
+    """The sides of cell closures against the hyperplanes of a family of
+    cells, as bit sets: the covectors of the family's arrangement (Björner,
+    Las Vergnas, Sturmfels, White and Ziegler 1999), kept to what proves
+    two cells disjoint.
 
-    Points of x are strictly positive mixes of its closure vertices and lie
-    strictly inside every facet of x, so one-sided weak separations with one
-    strict vertex already rule out the intersection.
+    The keys are the hyperplanes of the facet rows and carrier equations of
+    the family, each as its integer row with positive leading coefficient.
+    On its first test a cell, in the family or not, gets bit sets over the
+    keys, read off its closure vertices: the keys h with h <= 0 on its
+    closure, with h >= 0, and with h < 0 or h > 0 on all of it; and, for the
+    relatively open cell, the keys with h > 0 on it (its closure above h and
+    not on h), with h < 0, and with h = 0.  The open x misses Cl(obj) when,
+    for some key, Cl(obj) lies weakly on one side and x strictly on the
+    other, or x lies on h and Cl(obj) off it.  When both cells are in the
+    family every row of either is a key, so this finds every separation by
+    one of their rows.  Computing signs only for cells that reach a test
+    keeps small inputs cheap.  A table lives for the call that builds it,
+    and keeps the cells it has signed, so their ids stay theirs.
     """
-    xverts = x._int_vertices
-    for row in obj._int_facet_rows:
-        vals = _excesses(row, xverts)
-        if min(vals) >= 0 and max(vals) > 0:
-            return True
-    for row in obj._int_equations:
-        vals = _excesses(row, xverts)
-        if (min(vals) >= 0 or max(vals) <= 0) and any(vals):
-            return True
-    pts = obj._int_vertices
-    for row in x._int_facet_rows:
-        if min(_excesses(row, pts)) >= 0:
-            return True
-    for row in x._int_equations:
-        vals = _excesses(row, pts)
-        if min(vals) > 0 or max(vals) < 0:
-            return True
-    return False
+
+    def __init__(self, family: Iterable[RelOpenCell]):
+        keys = {}
+        for c in family:
+            for a, bn, bd in c._int_equations + c._int_facet_rows:
+                keys[(a, bn, bd) if next(filter(None, a)) > 0 else (tuple(-v for v in a), -bn, bd)] = None
+        self._keys = list(keys)
+        self._signs: dict[int, tuple[RelOpenCell, int, int, int, int, int, int]] = {}
+
+    def _sign(self, cell: RelOpenCell) -> tuple[RelOpenCell, int, int, int, int, int, int]:
+        nums, d = cell._int_vertices
+        below = above = off = 0
+        bit = 1
+        for a, bn, bd in self._keys:
+            t = bn * d
+            vals = [sum(map(mul, a, n)) * bd - t for n in nums]
+            lo, hi = min(vals), max(vals)
+            if hi <= 0:
+                below |= bit
+                if hi < 0:
+                    off |= bit
+            if lo >= 0:
+                above |= bit
+                if lo > 0:
+                    off |= bit
+            bit <<= 1
+        entry = (cell, below, above, off, above & ~below, below & ~above, above & below)
+        self._signs[id(cell)] = entry
+        return entry
+
+    def separated(self, x: RelOpenCell, obj: RelOpenCell) -> bool:
+        """Some key separates the relatively open x from Cl(obj)."""
+        _, _, _, _, x_up, x_down, x_on = self._signs.get(id(x)) or self._sign(x)
+        _, below, above, off, _, _, _ = self._signs.get(id(obj)) or self._sign(obj)
+        return bool(below & x_up | above & x_down | off & x_on)
 
 
-def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
+def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> bool:
     """Does the relatively open x meet obj, read as its closure (closed=True)
-    or as the relatively open set it is?"""
-    if _bbox_disjoint(x.bbox, obj.bbox):
+    or as the relatively open set it is?  The table and the boxes prove
+    disjointness, the sample point of x a meeting; the split decides the
+    rest."""
+    if table.separated(x, obj) or _bbox_disjoint(x.bbox, obj.bbox):
         return False
     if obj._holds(x._int_sample, strict=not closed):
         return True
-    if _closures_separated(x, obj):
-        return False
     return any(obj._holds(piece._int_sample, strict=not closed) for piece in _split_by(x, [obj]))
 
 
-def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
+def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> bool:
     """Is membership in obj (read as closed or open) constant on x?
 
     Inside the closure it is: constant true for the closed object, and for
@@ -669,7 +713,7 @@ def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool
     inside every facet (constant true).  Otherwise it is non-constant
     exactly when x still meets obj.
     """
-    return _within_closure(x, obj) or not meets(x, obj, closed)
+    return _within_closure(x, obj) or not meets(x, obj, closed, table)
 
 
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:
@@ -737,6 +781,7 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     objects = list(dict.fromkeys((c, False) for c in cells))
     objects += [(face, True) for face in closure_faces(cells)]
     obj_funcs = [frozenset(_object_functionals(obj)) for obj, _ in objects]
+    table = _SignTable(obj for obj, _ in objects)
     cuts: set[Functional] = _initial_cuts(objects)
     pieces = _distinct(cells)
     pending = sorted(cuts)
@@ -747,7 +792,7 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
         for (obj, closed), funcs in zip(objects, obj_funcs):
             if funcs <= cuts:
                 continue  # fully sign-determined: membership constant per piece
-            if not all(_membership_constant(p, obj, closed) for p in pieces.values()):
+            if not all(_membership_constant(p, obj, closed, table) for p in pieces.values()):
                 demands |= funcs
         new = demands - cuts
         if not new:

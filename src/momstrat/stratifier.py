@@ -18,9 +18,12 @@ from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
 from .polyhedron import (
+    Box,
     RelOpenCell,
     _bbox_disjoint,
-    _cells_bbox,
+    _box_union,
+    _box_within,
+    _SignTable,
     _within_closure,
     cell_key,
     meets,
@@ -154,11 +157,17 @@ def _cell_inside_closure(sigma: RelOpenCell, stratum: Stratum) -> bool:
     return any(_within_closure(sigma, t) for t in stratum.cells)
 
 
+def _stratum_boxes(strata: Sequence[Stratum]) -> dict[int, Box]:
+    """The bounding box of each stratum's closure, by id, from its cells' boxes."""
+    return {st.id: _box_union([c.bbox for c in st.cells]) for st in strata}
+
+
 def _frontier_pairs(strata: Sequence[Stratum]) -> tuple[tuple[int, int], ...]:
     pairs = []
+    boxes = _stratum_boxes(strata)
     for lo in strata:
         for up in strata:
-            if lo.dim >= up.dim or lo.id == up.id:
+            if lo.dim >= up.dim or lo.id == up.id or not _box_within(boxes[lo.id], boxes[up.id]):
                 continue
             if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
                 pairs.append((lo.id, up.id))
@@ -187,16 +196,19 @@ class FrontierReport:
 
 
 def verify_frontier(s: Stratification) -> FrontierReport:
-    """Exhaustive exact check of the frontier condition on all stratum pairs."""
+    """Exhaustive exact check of the frontier condition on all stratum pairs.
+    Cell pairs are proved disjoint by one sign table over every cell and by
+    their boxes before any exact test."""
     violations = []
-    boxes = {st.id: _cells_bbox(st.cells) for st in s.strata}
+    boxes = _stratum_boxes(s.strata)
+    table = _SignTable(c for st in s.strata for c in st.cells)
     for up in s.strata:
         for lo in s.strata:
             if lo.id == up.id:
                 continue
             if _bbox_disjoint(boxes[lo.id], boxes[up.id]):
                 continue
-            if not any(meets(sigma, t, closed=True) for sigma in lo.cells for t in up.cells):
+            if not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
                 continue
             if lo.dim >= up.dim:
                 violations.append(

@@ -8,8 +8,19 @@ from functools import lru_cache
 
 from momstrat import HPolytope, ToricAction, mat, vec
 from momstrat.linalg import AffineSubspace, Mat, Vec, dot, is_zero_vec, mat_vec, rank, row_space_basis, transpose
-from momstrat.polyhedron import RelOpenCell, cell_from_closure_points, cell_key
-from momstrat.stratifier import Stratification, Stratum
+from momstrat.polyhedron import (
+    RelOpenCell,
+    _bbox,
+    _bbox_disjoint,
+    _excesses,
+    _int_points,
+    _split_by,
+    _within_closure,
+    cell_from_closure_points,
+    cell_key,
+    uncovered_point,
+)
+from momstrat.stratifier import FrontierReport, FrontierViolation, Stratification, Stratum
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -260,3 +271,86 @@ def stratum_point_set(st: Stratum) -> set:
 def interior_rational_points(cell: RelOpenCell, count: int, seed: int) -> list[Vec]:
     rng = random.Random(seed)
     return cell.interior_points(count, rng)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise frontier check the sign table replaced, kept as a reference
+
+
+def closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:
+    """Cheap sufficient test for x ∩ Cl(obj) = ∅ (x relatively open), from
+    the rows of the two cells alone.
+
+    Points of x are strictly positive mixes of its closure vertices and lie
+    strictly inside every facet of x, so one-sided weak separations with one
+    strict vertex already rule out the intersection.
+    """
+    xverts = x._int_vertices
+    for row in obj._int_facet_rows:
+        vals = _excesses(row, xverts)
+        if min(vals) >= 0 and max(vals) > 0:
+            return True
+    for row in obj._int_equations:
+        vals = _excesses(row, xverts)
+        if (min(vals) >= 0 or max(vals) <= 0) and any(vals):
+            return True
+    pts = obj._int_vertices
+    for row in x._int_facet_rows:
+        if min(_excesses(row, pts)) >= 0:
+            return True
+    for row in x._int_equations:
+        vals = _excesses(row, pts)
+        if min(vals) > 0 or max(vals) < 0:
+            return True
+    return False
+
+
+def pairwise_meets(x: RelOpenCell, obj: RelOpenCell, closed: bool) -> bool:
+    """``meets`` with ``closures_separated`` in place of the sign table: box,
+    sample point, the two cells' own rows, then the split."""
+    if _bbox_disjoint(x.bbox, obj.bbox):
+        return False
+    if obj._holds(x._int_sample, strict=not closed):
+        return True
+    if closures_separated(x, obj):
+        return False
+    return any(obj._holds(piece._int_sample, strict=not closed) for piece in _split_by(x, [obj]))
+
+
+def pairwise_verify_frontier(s: Stratification) -> FrontierReport:
+    """``verify_frontier`` with every cell pair tested on its own
+    (``pairwise_meets``) and stratum boxes from every closure vertex."""
+    violations = []
+    boxes = {st.id: _bbox(_int_points(v for c in st.cells for v in c.closure_vertices)) for st in s.strata}
+    for up in s.strata:
+        for lo in s.strata:
+            if lo.id == up.id or _bbox_disjoint(boxes[lo.id], boxes[up.id]):
+                continue
+            if not any(pairwise_meets(sigma, t, closed=True) for sigma in lo.cells for t in up.cells):
+                continue
+            if lo.dim >= up.dim:
+                violations.append(
+                    FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension")
+                )
+                continue
+            if all(any(_within_closure(sigma, t) for t in up.cells) for sigma in lo.cells):
+                continue
+            for sigma in lo.cells:
+                witness = uncovered_point(sigma, up.cells)
+                if witness is not None:
+                    violations.append(
+                        FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
+                    )
+                    break
+    return FrontierReport(tuple(violations))
+
+
+def all_pairs_frontier(s: Stratification) -> tuple[tuple[int, int], ...]:
+    """The frontier pairs by ``_within_closure`` on every cell pair of every
+    stratum pair of rising dimension, with no box test."""
+    return tuple(
+        (lo.id, up.id)
+        for lo in s.strata
+        for up in s.strata
+        if lo.dim < up.dim and all(any(_within_closure(sigma, t) for t in up.cells) for sigma in lo.cells)
+    )

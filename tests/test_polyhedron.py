@@ -16,6 +16,7 @@ from momstrat import (
 )
 from momstrat.errors import EmptyPolytope, RankDeficient, UnboundedPolytope
 from momstrat.polyhedron import (
+    _SignTable,
     cell_from_closure_points,
     cell_key,
     closure_faces,
@@ -298,8 +299,9 @@ def test_meets_open_cell_excludes_its_facet_hyperplane():
     # the segment {1} x [0, 1] lies in the facet line u = 1 of the box
     seg = segment_cell([1, 0], [1, 1])
     box = box_cell([[0, 0], [0, 2], [1, 0], [1, 2]])
-    assert not meets(seg, box, closed=False)
-    assert meets(seg, box, closed=True)
+    table = _SignTable([seg, box])
+    assert not meets(seg, box, False, table)
+    assert meets(seg, box, True, table)
 
 
 def test_cell_from_closure_points_is_exact():

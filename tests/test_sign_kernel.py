@@ -1,8 +1,9 @@
 """Property tests: the integer sign kernel of ``polyhedron`` against a plain
 ``Fraction`` reference (``dot(a, x) <= b`` and box comparisons on the
-closure vertices), ``meets`` and ``_closures_separated`` against vertex
-enumeration, and the incidence routines (bit-set tight sets, face dimensions
-by descent, fan volumes) against ranks and closed forms."""
+closure vertices), ``meets`` and the sign table against vertex enumeration
+and the sign table against the pairwise separation test it replaced, and
+the incidence routines (bit-set tight sets, face dimensions by descent, fan
+volumes) against ranks and closed forms."""
 
 import math
 from fractions import Fraction
@@ -15,8 +16,8 @@ from momstrat.dh import polytope_volume
 from momstrat.linalg import AffineSubspace, dot, vec
 from momstrat.polyhedron import (
     _bbox_disjoint,
-    _closures_separated,
     _faces_by_incidence,
+    _SignTable,
     _restrict_functional,
     _split_by,
     cell_from_closure_points,
@@ -27,7 +28,7 @@ from momstrat.polyhedron import (
     tight_sets,
     vertices,
 )
-from support import corpus, paper_action, product_polytope, random_toric_instance
+from support import closures_separated, corpus, paper_action, product_polytope, random_toric_instance
 
 F = Fraction
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -59,6 +60,12 @@ def pool():
 
 def by_ambient_dim(n):
     return [c for c in pool() if c.ambient_dim == n]
+
+
+@lru_cache(maxsize=None)
+def family_table(n):
+    """One sign table over every pool cell of ambient dimension n."""
+    return _SignTable(by_ambient_dim(n))
 
 
 def fraction_bbox(cell):
@@ -138,11 +145,22 @@ def test_bbox_disjoint_matches_fraction_reference(c1, j):
 
 @SETTINGS
 @given(cells, st.integers(min_value=0))
-def test_closures_separated_implies_no_meeting(x, j):
+def test_sign_table_separation_implies_no_meeting(x, j):
     same = by_ambient_dim(x.ambient_dim)
     obj = same[j % len(same)]
-    if _closures_separated(x, obj):
-        assert not reference_meets(x, obj, closed=True)
+    for table in (family_table(x.ambient_dim), _SignTable([x, obj]), _SignTable([obj])):
+        if table.separated(x, obj):
+            assert not reference_meets(x, obj, closed=True)
+
+
+@SETTINGS
+@given(cells, st.integers(min_value=0))
+def test_pairwise_separation_implies_sign_table_separation(x, j):
+    same = by_ambient_dim(x.ambient_dim)
+    obj = same[j % len(same)]
+    if closures_separated(x, obj):
+        assert _SignTable([x, obj]).separated(x, obj)
+        assert family_table(x.ambient_dim).separated(x, obj)
 
 
 @SETTINGS
@@ -151,7 +169,8 @@ def test_meets_and_split_and_sample_match_vertex_enumeration(x, j, closed):
     same = by_ambient_dim(x.ambient_dim)
     obj = same[j % len(same)]
     expected = reference_meets(x, obj, closed)
-    assert meets(x, obj, closed) == expected
+    assert meets(x, obj, closed, family_table(x.ambient_dim)) == expected
+    assert meets(x, obj, closed, _SignTable([x, obj])) == expected
     # the last step of ``meets`` alone, without the cheap tests before it
     test = obj.closure_contains if closed else obj.contains
     assert any(test(p.sample_point()) for p in _split_by(x, [obj])) == expected

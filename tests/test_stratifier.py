@@ -5,9 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from momstrat import (
     PiecewiseAffineCover,
+    ToricAction,
+    mat,
     compute_d_field,
     stratify,
     verify_frontier,
@@ -16,17 +19,21 @@ from momstrat import (
 from momstrat import stratifier
 from momstrat.errors import InvalidCover, NonIntegrable
 from momstrat.io import parse_input_file
-from momstrat.linalg import AffineSubspace, add, identity, scale
+from momstrat.linalg import AffineSubspace, add, identity, rank, scale
 from momstrat.stratifier import Stratification, Stratum
-from momstrat.toric import momentum_cover
+from momstrat.toric import hamiltonian_stratification, momentum_cover
 from support import (
+    all_pairs_frontier,
     box_cell,
     corpus,
     hpolytope_from_points,
+    pairwise_verify_frontier,
     paper_action,
     point_cell,
+    product_polytope,
     segment_cell,
     square_identity_action,
+    stratification_for,
 )
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -177,16 +184,45 @@ def test_verify_frontier_single_stratum():
     assert verify_frontier(s).ok
 
 
-def test_verify_frontier_flags_hand_built_violation():
+def _two_strata(lower_cells, upper_cells, frontier=()) -> Stratification:
+    """Two strata of the plane, each given by its cells, the first one lower."""
+    strata = tuple(
+        Stratum(i, cells[0].carrier.directions, cells[0].carrier, cells, cells[0].dim, ())
+        for i, cells in enumerate((lower_cells, upper_cells))
+    )
+    return Stratification(strata, frontier, 2)
+
+
+def _long_edge_under_chamber() -> Stratification:
     # chamber (0,1)^2 and a long edge {1} x (0,2): the closure of the chamber
     # meets the edge without containing it
-    chamber = box_cell([[0, 0], [0, 1], [1, 0], [1, 1]])
-    long_edge = segment_cell([1, 0], [1, 2])
-    strata = (
-        Stratum(0, long_edge.carrier.directions, long_edge.carrier, (long_edge,), 1, ()),
-        Stratum(1, chamber.carrier.directions, chamber.carrier, (chamber,), 2, ()),
-    )
-    broken = Stratification(strata, (), 2)
+    return _two_strata((segment_cell([1, 0], [1, 2]),), (box_cell([[0, 0], [0, 1], [1, 0], [1, 1]]),))
+
+
+def _edge_under_two_chambers() -> Stratification:
+    # the edge {1} x (0,2) lies in the union of the closures of the chambers
+    # (0,1) x (0,1) and (0,1) x (1,2), but in neither closure alone
+    lower = box_cell([[0, 0], [0, 1], [1, 0], [1, 1]])
+    upper = box_cell([[0, 1], [0, 2], [1, 1], [1, 2]])
+    return _two_strata((segment_cell([1, 0], [1, 2]),), (lower, upper), ((0, 1),))
+
+
+def _cells_moved_into_neighbour(s: Stratification, pair: tuple[int, int]) -> Stratification:
+    """s with the cells of the lower stratum of a frontier pair moved into
+    the upper one and the ids renumbered: the closures of the strata around
+    the emptied one now meet the grown stratum, or miss part of it."""
+    lo, up = pair
+    strata = []
+    for st in s.strata:
+        if st.id != lo:
+            cells = st.cells + s.strata[lo].cells if st.id == up else st.cells
+            strata.append(Stratum(len(strata), st.direction, st.carrier, cells, st.dim, st.adjacency))
+    return Stratification(tuple(strata), (), s.ambient_dim)
+
+
+def test_verify_frontier_flags_hand_built_violation():
+    broken = _long_edge_under_chamber()
+    long_edge, chamber = (st.cells[0] for st in broken.strata)
     report = verify_frontier(broken)
     assert not report.ok
     hits = [v for v in report.violations if v.lower_id == 0 and v.upper_id == 1]
@@ -195,16 +231,47 @@ def test_verify_frontier_flags_hand_built_violation():
 
 
 def test_verify_frontier_edge_covered_by_two_closures_only_together():
-    # the edge {1} x (0,2) lies in the union of the closures of the chambers
-    # (0,1) x (0,1) and (0,1) x (1,2), but in neither closure alone
-    lower = box_cell([[0, 0], [0, 1], [1, 0], [1, 1]])
-    upper = box_cell([[0, 1], [0, 2], [1, 1], [1, 2]])
-    edge = segment_cell([1, 0], [1, 2])
-    strata = (
-        Stratum(0, edge.carrier.directions, edge.carrier, (edge,), 1, ()),
-        Stratum(1, lower.carrier.directions, lower.carrier, (lower, upper), 2, ()),
-    )
-    assert verify_frontier(Stratification(strata, ((0, 1),), 2)).ok
+    assert verify_frontier(_edge_under_two_chambers()).ok
+
+
+def test_verify_frontier_matches_the_pairwise_reference():
+    # same violations, reasons and witnesses, in the same order
+    cases = [stratification_for(action) for action in corpus()]
+    assert all(pairwise_verify_frontier(s) == verify_frontier(s) for s in cases)
+    broken = [_long_edge_under_chamber(), _edge_under_two_chambers()]
+    for s in [stratify(momentum_cover(paper_action())), *(c for c in cases[:8] if len(c.strata) < 50)]:
+        broken += [_cells_moved_into_neighbour(s, pair) for pair in s.frontier[:: max(1, len(s.frontier) // 4)]]
+    reports = [verify_frontier(s) for s in broken]
+    assert reports == [pairwise_verify_frontier(s) for s in broken]
+    assert not reports[0].ok and reports[1].ok and sum(not r.ok for r in reports) > len(reports) // 2
+    assert {v.reason for r in reports for v in r.violations} == {
+        "closure meets a stratum of equal or larger dimension",
+        "stratum not contained in the closure it meets",
+    }
+
+
+@strategies.composite
+def product_actions(draw) -> ToricAction:
+    """A subtorus of rank k <= 2 acting on a product of scaled, shifted
+    simplices of total dimension n <= 4."""
+    dims = draw(strategies.lists(strategies.integers(1, 3), min_size=1, max_size=3).filter(lambda d: sum(d) <= 4))
+    n = sum(dims)
+    scales = [draw(strategies.integers(1, 3)) for _ in dims]
+    shifts = [[draw(strategies.integers(-1, 1)) for _ in range(d)] for d in dims]
+    k = draw(strategies.integers(1, min(2, n)))
+    b = mat([[draw(strategies.integers(-2, 2)) for _ in range(k)] for _ in range(n)])
+    assume(rank(b) == k)
+    action = ToricAction(product_polytope(dims, scales, shifts), b, "product")
+    assume(action.is_effective())
+    return action
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(product_actions())
+def test_frontier_invariants_on_products_of_simplices(action):
+    s = hamiltonian_stratification(action)
+    assert verify_frontier(s).ok
+    assert s.frontier == all_pairs_frontier(s)
 
 
 def test_verify_tangent_paper_and_identity():
