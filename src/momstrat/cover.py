@@ -11,8 +11,10 @@ validation and the direction field share.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import lcm
 from operator import or_
 from typing import Sequence
 
@@ -43,14 +45,21 @@ class PiecewiseAffineCover:
     @cached_property
     def incidence(self) -> tuple[tuple[int, int], ...]:
         """Per member, the bit sets over ``pieces`` of the pieces inside it
-        and of those inside its closure (bit j for ``pieces[j]``)."""
+        and of those inside its closure (bit j for ``pieces[j]``).  The
+        members are sorted once on their box's lower corner in the first
+        coordinate, over the common denominator d of the boxes, so a piece's
+        sample point x = n / e meets only those starting at most n_0 * d / e."""
         inside, closure = [0] * len(self.members), [0] * len(self.members)
+        d = lcm(*(m.bbox[2] for m in self.members))
+        # each member's lower corner in the first coordinate (0 in R^0), over d
+        starts = sorted((sum(m.bbox[0][:1]) * (d // m.bbox[2]), i) for i, m in enumerate(self.members))
+        corners = [c for c, _ in starts]
         for j, piece in enumerate(self.pieces):
             s, bit = piece._int_sample, 1 << j
-            for i, m in enumerate(self.members):
-                if m._holds(s, strict=False):
+            for _, i in starts[: bisect_right(corners, sum(s[0][:1]) * d // s[1])]:
+                if self.members[i]._holds(s, strict=False):
                     closure[i] |= bit
-                    if m._holds(s, strict=True):
+                    if self.members[i]._holds(s, strict=True):
                         inside[i] |= bit
         return tuple(zip(inside, closure))
 

@@ -274,7 +274,7 @@ class AffineSubspace:
         x = list(self.base)
         for ti, row in zip(t, self.directions):
             for j, rj in enumerate(row):
-                if rj != 0:
+                if rj:
                     x[j] += ti * rj
         return tuple(x)
 

@@ -20,19 +20,23 @@ cell is built by one private builder, ``_cell``, from the vertex set of its
 closure and candidate rows among which its facets lie: it keeps the rows
 that hold on every point and are tight on a maximal set of them, so equal
 cells have bit-identical encodings whatever the candidates.  Callers pass
-the rows they already hold: ``split_cell`` the cell's facet rows and the
-cut, ``closure_faces`` the facet rows of the closure a face came from.
-Only ``cell_from_closure_points`` tries every hyperplane through d affinely
-independent points.  The faces of a cell's closure are cells too; the
-refinement and frontier tests read one as a closed set through an explicit
-``closed`` flag.
+the rows they already hold.  ``split_cell`` builds the two sides of a cut
+in the cell's frame: they keep its carrier, and its canonical local rows
+with their ambient lifts, and only the cut is restricted and lifted; the
+piece on the cut gets the cell's ambient facet rows and the cut.
+``closure_faces`` gives a face the facet rows of the closure it came from,
+and a whole closure is that cell.  Only ``cell_from_closure_points`` tries
+every hyperplane through d affinely independent points.  The faces of a
+cell's closure are cells too; the refinement and frontier tests read one as
+a closed set through an explicit ``closed`` flag.
 
 This module alone decides cell membership:
 
 - is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
   and ``RelOpenCell.closure_contains``, from the cached ambient rows;
 - does a cell lie in another's closure?  ``_within_closure``, from the
-  closure vertices;
+  closure vertices; the refinement reads the same off its sign table
+  (``_SignTable.within``);
 - which hyperplane of a family of cells separates two cells?  A
   ``_SignTable`` over the family: per cell, bit sets of the family's
   hyperplanes that its closure lies below, above or off, worked out once, so
@@ -40,12 +44,12 @@ This module alone decides cell membership:
   its members and closure faces, the frontier check one over the
   stratification's cells; a table lives for that one call;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
-  both the refinement (through ``_membership_constant``) and the frontier
-  check call with the table they built.  The refinement's pieces are plain
-  cells with no record of their signs: ``meets`` tries the table, the boxes
-  and x's sample point, then tells a piece that misses an object by
-  splitting x by the object's hyperplanes (``_split_by``) and testing one
-  sample point per piece;
+  both the refinement (``_membership_constant``, after the boxes and
+  ``within``) and the frontier check call with the table they built.  The
+  refinement's pieces are plain cells with no record of their signs:
+  ``meets`` tries the table, the boxes and x's sample point, then tells a
+  piece that misses an object by splitting x by the object's hyperplanes
+  (``_split_by``) and testing one sample point per piece;
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None, by the same split and sample test.
 
@@ -61,9 +65,10 @@ vertices' denominator, so a box test is one cross-multiplication per
 coordinate), and ``_int_sample``, the sample point in integer form, which
 the point tests of ``meets``, ``uncovered_point`` and the cover's incidence
 table share.  They serve the point tests, the box tests, ``_within_closure``,
-the sign tables and every tight set.  Crossing points, carriers,
-restricted rows and everything returned stay ``Fraction``; the tight-basis
-scan converts only the vertices and the facet rows it returns.
+the sign tables, every tight set and the dedup of the refinement's pieces.
+Crossing points, carriers, cuts, local rows and their lifts (once per cell,
+or inherited by a split's sides) and everything returned stay ``Fraction``;
+the tight-basis scan converts only the vertices and the facet rows it returns.
 
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
@@ -78,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
@@ -107,13 +112,16 @@ from .linalg import (
 Functional = tuple[Vec, Fraction]
 
 
-def _canon_cut(f: Functional) -> Functional:
-    """Canonical representative of the hyperplane {a.x = beta} (sign fixed)."""
-    a, b = primitive_functional(*f)
-    lead = next((x for x in a if x != 0), ZERO)
-    if lead < 0:
-        a, b = tuple(-x for x in a), -b
-    return a, b
+def _neg(f):
+    """The opposite row of a ``Functional`` or an ``IntRow`` (the offset's
+    denominator stays)."""
+    return (tuple(-c for c in f[0]), -f[1], *f[2:])
+
+
+def _canon_cut(f):
+    """The hyperplane {a.x = beta} of a canonical row (a is primitive), with
+    its sign fixed: the row itself when a's leading entry is positive."""
+    return f if next(filter(None, f[0])) > 0 else _neg(f)
 
 
 def _canon_row(f: Functional) -> Functional:
@@ -488,37 +496,52 @@ def _smallest_face(facets: Iterable[int], points: int, count: int) -> int:
     return reduce(and_, (t for t in facets if t & points == points), (1 << count) - 1)
 
 
-def _cell(points: Iterable[Vec], candidates: Iterable[Functional] | None) -> RelOpenCell:
+def _cell(
+    points: Iterable[Vec], candidates: Iterable | None, carrier: AffineSubspace | None = None
+) -> RelOpenCell:
     """The canonical cell whose closure is conv(points).
 
     The candidates are ambient rows among which every facet of conv(points)
     lies; None means every hyperplane through d affinely independent points,
-    found and tested in carrier coordinates.  A candidate that holds on every
-    point and is tight on some cuts out a face, and every face lies in a
-    facet, so the facets are the candidates tight on a maximal set of points
-    (``_facets``); they are restricted to the carrier, oriented and sorted.
-    A point is a closure vertex when the facets through it meet in it alone.
+    found and tested in carrier coordinates.  Given the ``carrier``, which
+    conv(points) spans, the points are local and each candidate is a
+    canonical local row with its ambient lift and that lift's integer form,
+    which the cell keeps.  A candidate that holds on every point and is tight
+    on some cuts out a face, and every face lies in a facet, so the facets
+    are the candidates tight on a maximal set of points (``_facets``); they
+    are restricted to the carrier, oriented and sorted.  A point is a closure
+    vertex when the facets through it meet in it alone.
     """
     pts = sorted(set(points))
-    carrier = AffineSubspace.from_points(pts)
-    local = [carrier.to_local(p) for p in pts]
-    scan = candidates is None
-    frame = _int_points(local if scan else pts)
-    faces: dict[int, tuple[Functional | IntRow, bool]] = {}  # tight points as a bit set -> (row, holds as is)
+    scan, inherit = candidates is None, carrier is not None
+    if not inherit:
+        carrier = AffineSubspace.from_points(pts)
+    local = [carrier.to_local(p) for p in pts] if scan else pts
+    frame = _int_points(local)
+    faces: dict[int, tuple] = {}  # tight points as a bit set -> (candidate, holds as is)
     for f in _hyperplanes(local, carrier.dim) if scan else candidates:
-        vals = _excesses(f if scan else _int_row(f), frame)
+        vals = _excesses(f if scan else _int_row(f[0] if inherit else f), frame)
         lo, hi = min(vals), max(vals)
         if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
             faces.setdefault(_zeros(vals), (f, hi == 0))
-    rows: dict[Functional, int] = {}
+    rows: dict[Functional, tuple] = {}  # canonical local row -> (tight points, inherited lifts)
     for tight in _facets((1 << len(pts)) - 1, faces):
         f, holds = faces[tight]
+        if inherit:  # canonical already, and it holds on the points
+            rows[f[0]] = tight, f[1:]
+            continue
         a, b = (vec(f[0]), Fraction(f[1])) if scan else _restrict_functional(carrier, *f)
-        rows[_canon_row((a, b) if holds else (tuple(-c for c in a), -b))] = tight
-    order = sorted(rows)
-    verts = [p for i, p in enumerate(pts) if _smallest_face(rows.values(), 1 << i, len(pts)) == 1 << i]
+        rows[_canon_row((a, b) if holds else _neg((a, b)))] = tight, ()
+    order = sorted(rows.items(), key=itemgetter(0))
+    tights = [t for t, _ in rows.values()]
+    verts = [p for i, p in enumerate(pts) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
     excluded = tuple((i,) for i in range(len(order)))
-    return RelOpenCell(carrier, mat(r[0] for r in order), vec(r[1] for r in order), excluded, mat(verts))
+    closure = tuple(map(carrier.from_local, verts)) if inherit else tuple(verts)
+    cell = RelOpenCell(carrier, tuple(r[0] for r, _ in order), tuple(r[1] for r, _ in order), excluded, closure)
+    if inherit:  # the caches the cell would derive again
+        ambient, ints = zip(*(lift for _, (_, lift) in order))  # a side of a split has facets
+        vars(cell).update(local_vertices=tuple(verts), ambient_facet_rows=ambient, _int_facet_rows=ints)
+    return cell
 
 
 def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
@@ -550,7 +573,9 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
 
     Returns a dict from sign (-1, 0, +1 relative to the hyperplane) to the
     nonempty subcells on that side.  A cell whose relative interior misses
-    the hyperplane comes back intact under its single sign.
+    the hyperplane comes back intact under its single sign.  The sides -1
+    and +1 span the cell's carrier and are built in it: their candidates
+    are the cell's local rows and the cut, each with its ambient lift.
     """
     verts = cell._int_vertices
     vals = _excesses(_int_row(cut), verts)
@@ -560,7 +585,7 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
         if not negs and not poss:
             return {0: cell}
         return {-1 if negs else 1: cell}
-    local_pts = list(cell.local_vertices)
+    local_pts = cell.local_vertices
     facets = [_zeros(_excesses(r, verts)) for r in cell._int_facet_rows]
     crossings: list[Vec] = []
     for i in negs:
@@ -572,12 +597,19 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
             # the excesses share one positive scale, so their ratio is exact
             lam = Fraction(vu, vu - vw)
             crossings.append(add(u, scale(sub(w, u), lam)))
-    to_amb = cell.carrier.from_local
-    candidates = [*cell.ambient_facet_rows, cut, (tuple(-c for c in cut[0]), -cut[1])]
-    lo = [to_amb(p) for p, v in zip(local_pts, vals) if v <= 0] + [to_amb(t) for t in crossings]
-    hi = [to_amb(p) for p, v in zip(local_pts, vals) if v >= 0] + [to_amb(t) for t in crossings]
-    mid = [to_amb(p) for p, v in zip(local_pts, vals) if v == 0] + [to_amb(t) for t in crossings]
-    return {-1: _cell(lo, candidates), 0: _cell(mid, candidates), 1: _cell(hi, candidates)}
+    carrier = cell.carrier
+    kept = list(zip(cell.local_rows(), cell.ambient_facet_rows, cell._int_facet_rows))
+    down = _canon_row(_restrict_functional(carrier, *cut))
+    lift = _canon_row(_lift_functional(carrier, *down))
+    below = (down, lift, _int_row(lift))
+    on = [p for p, v in zip(local_pts, vals) if v == 0] + crossings
+    lo = [p for p, v in zip(local_pts, vals) if v < 0] + on
+    hi = [p for p, v in zip(local_pts, vals) if v > 0] + on
+    return {
+        -1: _cell(lo, [*kept, below], carrier),
+        0: _cell(map(carrier.from_local, on), [*cell.ambient_facet_rows, cut, _neg(cut)]),
+        1: _cell(hi, [*kept, tuple(map(_neg, below))], carrier),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +621,15 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     themselves included, each as the canonical cell that is its relative
     interior.  A face's facets lie on facets of the closure it came from, so
     those rows are its candidates; a face shared by several closures is
-    built once."""
-    faces: dict[tuple[Vec, ...], RelOpenCell] = {}
+    built once, and a whole closure is the given cell itself."""
+    faces: dict[tuple[Vec, ...], RelOpenCell] = {}  # vertices -> a cell whose closure has that face
     for cell in cells:
         verts = cell.closure_vertices
         tight = [_zeros(_excesses(r, cell._int_vertices)) for r in cell._int_facet_rows]
         for s in _faces_by_incidence(tight, len(verts)):
             faces.setdefault(tuple(v for i, v in enumerate(verts) if s >> i & 1), cell)
-    return [_cell(points, faces[points].ambient_facet_rows) for points in sorted(faces)]
+        faces[verts] = cell  # the whole closure is the cell itself
+    return [c if c.closure_vertices == p else _cell(p, c.ambient_facet_rows) for p, c in sorted(faces.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +685,17 @@ class _SignTable:
     for some key, Cl(obj) lies weakly on one side and x strictly on the
     other, or x lies on h and Cl(obj) off it.  When both cells are in the
     family every row of either is a key, so this finds every separation by
-    one of their rows.  Computing signs only for cells that reach a test
-    keeps small inputs cheap.  A table lives for the call that builds it,
-    and keeps the cells it has signed, so their ids stay theirs.
+    one of their rows.  The same bit sets decide Cl(x) ⊆ Cl(obj) for obj in
+    the family (``within``).  Computing signs only for cells that reach a
+    test keeps small inputs cheap.  A table lives for the call that builds
+    it, and keeps the cells it has signed, so their ids stay theirs.
     """
 
     def __init__(self, family: Iterable[RelOpenCell]):
         keys = {}
         for c in family:
-            for a, bn, bd in c._int_equations + c._int_facet_rows:
-                keys[(a, bn, bd) if next(filter(None, a)) > 0 else (tuple(-v for v in a), -bn, bd)] = None
+            for row in c._int_equations + c._int_facet_rows:
+                keys[_canon_cut(row)] = None
         self._keys = list(keys)
         self._signs: dict[int, tuple[RelOpenCell, int, int, int, int, int, int]] = {}
 
@@ -692,6 +726,14 @@ class _SignTable:
         _, below, above, off, _, _, _ = self._signs.get(id(obj)) or self._sign(obj)
         return bool(below & x_up | above & x_down | off & x_on)
 
+    def within(self, x: RelOpenCell, obj: RelOpenCell) -> bool:
+        """Cl(x) ⊆ Cl(obj), for obj in the family: Cl(x) lies weakly on the
+        side of every key that Cl(obj) lies weakly on one side of.  obj's
+        own rows are among those keys, so this is exact."""
+        _, x_below, x_above, _, _, _, _ = self._signs.get(id(x)) or self._sign(x)
+        _, below, above, _, _, _, _ = self._signs.get(id(obj)) or self._sign(obj)
+        return not (below & ~x_below or above & ~x_above)
+
 
 def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> bool:
     """Does the relatively open x meet obj, read as its closure (closed=True)
@@ -713,11 +755,11 @@ def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: 
     inside every facet (constant true).  Otherwise it is non-constant
     exactly when x still meets obj.
     """
-    return _within_closure(x, obj) or not meets(x, obj, closed, table)
+    return _bbox_disjoint(x.bbox, obj.bbox) or table.within(x, obj) or not meets(x, obj, closed, table)
 
 
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:
-    """Cut functionals that make membership in obj sign-determined."""
+    """Cut functionals that make membership in obj sign-determined: its rows, sign fixed."""
     return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
 
 
@@ -751,19 +793,19 @@ def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional
     cuts: set[Functional] = set()
     for obj, closed in objects:
         if obj.dim == obj.ambient_dim - 1:
-            cuts.update(_canon_cut(e) for e in obj.carrier.equations())
+            cuts.update(map(_canon_cut, obj.ambient_equations))
         if not closed and obj.dim == obj.ambient_dim:
-            cuts.update(_canon_cut(r) for r in obj.ambient_facet_rows)
+            cuts.update(map(_canon_cut, obj.ambient_facet_rows))
     return cuts
 
 
 def _distinct(cells: Iterable[RelOpenCell]) -> dict:
-    """The cells by ``cell_key``, each kept as first seen: overlapping cells
-    give identical classes, and a cell that a cut left intact keeps the data
-    it has cached."""
+    """The cells by dimension and integer closure vertices, each kept as first
+    seen: overlapping cells give identical classes, and a cell that a cut
+    left intact keeps the data it has cached."""
     out: dict = {}
     for c in cells:
-        out.setdefault(cell_key(c), c)
+        out.setdefault((c.dim, c._int_vertices), c)
     return out
 
 
@@ -796,6 +838,6 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
                 demands |= funcs
         new = demands - cuts
         if not new:
-            return [pieces[k] for k in sorted(pieces)]
+            return sorted(pieces.values(), key=cell_key)
         cuts |= new
         pending = sorted(new)

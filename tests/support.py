@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import assume, strategies
+
 from momstrat import HPolytope, ToricAction, mat, vec
 from momstrat.linalg import AffineSubspace, Mat, Vec, dot, is_zero_vec, mat_vec, rank, row_space_basis, transpose
 from momstrat.polyhedron import (
@@ -174,6 +176,22 @@ def random_toric_instance(seed: int, n_max: int = 6, k_max: int = 3) -> ToricAct
         return action
 
 
+@strategies.composite
+def product_actions(draw) -> ToricAction:
+    """A subtorus of rank k <= 2 acting on a product of scaled, shifted
+    simplices of total dimension n <= 4."""
+    dims = draw(strategies.lists(strategies.integers(1, 3), min_size=1, max_size=3).filter(lambda d: sum(d) <= 4))
+    n = sum(dims)
+    scales = [draw(strategies.integers(1, 3)) for _ in dims]
+    shifts = [[draw(strategies.integers(-1, 1)) for _ in range(d)] for d in dims]
+    k = draw(strategies.integers(1, min(2, n)))
+    b = mat([[draw(strategies.integers(-2, 2)) for _ in range(k)] for _ in range(n)])
+    assume(rank(b) == k)
+    action = ToricAction(product_polytope(dims, scales, shifts), b, "product")
+    assume(action.is_effective())
+    return action
+
+
 @lru_cache(maxsize=None)
 def corpus(count: int = 50, start_seed: int = 1000) -> tuple[ToricAction, ...]:
     return tuple(random_toric_instance(start_seed + i) for i in range(count))
@@ -271,6 +289,20 @@ def stratum_point_set(st: Stratum) -> set:
 def interior_rational_points(cell: RelOpenCell, count: int, seed: int) -> list[Vec]:
     rng = random.Random(seed)
     return cell.interior_points(count, rng)
+
+
+def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:
+    """``PiecewiseAffineCover.incidence`` with every piece's sample point
+    tested against every member, with no index."""
+    inside, closure = [0] * len(cover.members), [0] * len(cover.members)
+    for j, piece in enumerate(cover.pieces):
+        s, bit = piece._int_sample, 1 << j
+        for i, m in enumerate(cover.members):
+            if m._holds(s, strict=False):
+                closure[i] |= bit
+                if m._holds(s, strict=True):
+                    inside[i] |= bit
+    return tuple(zip(inside, closure))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from momstrat import PiecewiseAffineCover, membership_signature, validate, vec
 from momstrat.cover import MemberReport, ValidationReport, refined_cells
 from momstrat.errors import DimensionMismatch, PointOutsideSupport
-from momstrat.polyhedron import _within_closure
+from momstrat.polyhedron import _within_closure, cell_key
 from momstrat.toric import momentum_cover
-from support import box_cell, corpus, paper_action, point_cell, segment_cell
+from support import all_pairs_incidence, box_cell, corpus, paper_action, point_cell, product_actions, segment_cell
+
+# SHA-256 over (cell_key, closed_A, closed_b) of every piece of the 50 corpus
+# covers, seeds 1000-1049 (1,720 pieces)
+CORPUS_PIECES_SHA256 = "6b311b3f5e222afb0cc09938450d25834af33506800633e7ec2dc31269fff46d"
 
 
 def reference_validate(c):
@@ -152,6 +159,23 @@ def test_pieces_interval_with_point():
     assert pt.closure_vertices == ((1,),)
 
 
+def assert_partition(members, pieces, points, seed):
+    """The pieces are pairwise disjoint, each given point of the support lies
+    in exactly one, and membership in every member and in its closure is
+    constant at the sample and interior points of each piece."""
+    # pairwise disjoint: the sample of one piece is in no other
+    for a in pieces:
+        s = a.sample_point()
+        assert sum(1 for b in pieces if b.contains(s)) == 1
+    for x in points:
+        assert sum(1 for b in pieces if b.contains(x)) == 1
+    for piece in pieces:
+        pts = [piece.sample_point()] + piece.interior_points(3, random.Random(seed))
+        for m in members:
+            assert len({m.contains(x) for x in pts}) == 1
+            assert len({m.closure_contains(x) for x in pts}) == 1
+
+
 def test_pieces_partition_properties():
     rng = random.Random(41)
     members = [
@@ -162,20 +186,37 @@ def test_pieces_partition_properties():
         point_cell([1, 1]),
     ]
     pieces = PiecewiseAffineCover.make(members).pieces
-    # pairwise disjoint: the sample of one piece is in no other
-    for a in pieces:
-        s = a.sample_point()
-        assert sum(1 for b in pieces if b.contains(s)) == 1
-    # random points of the open square lie in exactly one piece
-    for _ in range(40):
-        x = vec([Fraction(rng.randint(1, 79), 40), Fraction(rng.randint(1, 79), 40)])
-        assert sum(1 for b in pieces if b.contains(x)) == 1
-    # membership in every member and its closure is constant per piece
-    for piece in pieces:
-        pts = [piece.sample_point()] + piece.interior_points(3, random.Random(1))
-        for m in members:
-            assert len({m.contains(x) for x in pts}) == 1
-            assert len({m.closure_contains(x) for x in pts}) == 1
+    # random points of the open square
+    points = [vec([Fraction(rng.randint(1, 79), 40), Fraction(rng.randint(1, 79), 40)]) for _ in range(40)]
+    assert_partition(members, pieces, points, seed=1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(product_actions())
+def test_pieces_partition_momentum_covers_of_products_of_simplices(action):
+    cover = action.cover
+    rng = random.Random(7)
+    # interior points and closure vertices of the members
+    points = [x for m in cover.members for x in m.interior_points(2, rng) + list(m.closure_vertices)]
+    assert_partition(cover.members, cover.pieces, points, seed=7)
+    assert cover.incidence == all_pairs_incidence(cover)
+
+
+def test_incidence_index_matches_all_pairs():
+    for cover in [counterexample_cover(), nested_interval_cover()] + [a.cover for a in corpus()]:
+        assert cover.incidence == all_pairs_incidence(cover)
+
+
+def _text(v):
+    return [_text(x) for x in v] if isinstance(v, tuple) else str(v)
+
+
+def test_corpus_pieces_are_pinned():
+    digest = hashlib.sha256()
+    for action in corpus():
+        for p in action.cover.pieces:
+            digest.update(json.dumps([_text(cell_key(p)), _text(p.closed_A), _text(p.closed_b)]).encode())
+    assert digest.hexdigest() == CORPUS_PIECES_SHA256
 
 
 def test_cover_of_mixed_dimensions_rejected():

@@ -5,21 +5,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies
+from hypothesis import given, settings
 
 from momstrat import (
     PiecewiseAffineCover,
-    ToricAction,
-    mat,
     compute_d_field,
     stratify,
     verify_frontier,
     verify_tangent_condition,
 )
-from momstrat import stratifier
+from momstrat import polyhedron, stratifier
 from momstrat.errors import InvalidCover, NonIntegrable
 from momstrat.io import parse_input_file
-from momstrat.linalg import AffineSubspace, add, identity, rank, scale
+from momstrat.linalg import AffineSubspace, add, identity, scale
+from momstrat.polyhedron import _SignTable, _within_closure, cell_from_closure_points, closure_faces
 from momstrat.stratifier import Stratification, Stratum
 from momstrat.toric import hamiltonian_stratification, momentum_cover
 from support import (
@@ -30,7 +29,7 @@ from support import (
     pairwise_verify_frontier,
     paper_action,
     point_cell,
-    product_polytope,
+    product_actions,
     segment_cell,
     square_identity_action,
     stratification_for,
@@ -250,28 +249,42 @@ def test_verify_frontier_matches_the_pairwise_reference():
     }
 
 
-@strategies.composite
-def product_actions(draw) -> ToricAction:
-    """A subtorus of rank k <= 2 acting on a product of scaled, shifted
-    simplices of total dimension n <= 4."""
-    dims = draw(strategies.lists(strategies.integers(1, 3), min_size=1, max_size=3).filter(lambda d: sum(d) <= 4))
-    n = sum(dims)
-    scales = [draw(strategies.integers(1, 3)) for _ in dims]
-    shifts = [[draw(strategies.integers(-1, 1)) for _ in range(d)] for d in dims]
-    k = draw(strategies.integers(1, min(2, n)))
-    b = mat([[draw(strategies.integers(-2, 2)) for _ in range(k)] for _ in range(n)])
-    assume(rank(b) == k)
-    action = ToricAction(product_polytope(dims, scales, shifts), b, "product")
-    assume(action.is_effective())
-    return action
-
-
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(product_actions())
 def test_frontier_invariants_on_products_of_simplices(action):
     s = hamiltonian_stratification(action)
     assert verify_frontier(s).ok
     assert s.frontier == all_pairs_frontier(s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(product_actions())
+def test_sign_table_and_split_children_on_products_of_simplices(action):
+    members = action.cover.members
+    family = list(members) + closure_faces(members)
+    table = _SignTable(family)
+    # Cl(x) ⊆ Cl(obj) read off the table, for the pieces too, as the refinement asks it
+    for x in family + list(action.cover.pieces):
+        assert [table.within(x, obj) for obj in family] == [_within_closure(x, obj) for obj in family]
+    # every child of every split equals the cell built from its closure
+    # vertices alone, cached rows included
+    children = {}
+    split = polyhedron.split_cell
+
+    def recording_split(cell, cut):
+        parts = split(cell, cut)
+        children.update((id(c), c) for c in parts.values())
+        return parts
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedron, "split_cell", recording_split)
+        assert polyhedron._refine_engine(members) == list(action.cover.pieces)
+    for child in children.values():
+        ref = cell_from_closure_points(child.closure_vertices)
+        assert child == ref
+        assert child.ambient_facet_rows == ref.ambient_facet_rows
+        assert child._int_facet_rows == ref._int_facet_rows
+        assert child._int_equations == ref._int_equations
 
 
 def test_verify_tangent_paper_and_identity():
