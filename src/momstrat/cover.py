@@ -11,20 +11,17 @@ validation and the direction field share.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import lcm
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
-from .linalg import Vec, vec
+from .linalg import FrozenValue, Vec, vec
 from .polyhedron import RelOpenCell, _refine_engine
 
 
-@dataclass(frozen=True)
-class PiecewiseAffineCover:
+class PiecewiseAffineCover(FrozenValue):
     members: tuple[RelOpenCell, ...]
     ambient_dim: int
 
@@ -45,18 +42,36 @@ class PiecewiseAffineCover:
     @cached_property
     def incidence(self) -> tuple[tuple[int, int], ...]:
         """Per member, the bit sets over ``pieces`` of the pieces inside it
-        and of those inside its closure (bit j for ``pieces[j]``).  The
-        members are sorted once on their box's lower corner in the first
-        coordinate, over the common denominator d of the boxes, so a piece's
-        sample point x = n / e meets only those starting at most n_0 * d / e."""
-        inside, closure = [0] * len(self.members), [0] * len(self.members)
-        d = lcm(*(m.bbox[2] for m in self.members))
-        # each member's lower corner in the first coordinate (0 in R^0), over d
-        starts = sorted((sum(m.bbox[0][:1]) * (d // m.bbox[2]), i) for i, m in enumerate(self.members))
-        corners = [c for c, _ in starts]
+        and of those inside its closure (bit j for ``pieces[j]``).  A sweep
+        on the first coordinate tests a piece's sample point x only against
+        the members whose box interval [l, h] there holds x_0: the pieces go
+        by increasing x_0, and a member is active from l <= x_0 until
+        h < x_0.  Over the common denominator d of the boxes, l and h are
+        integers, compared with the floor and the ceiling of x_0 * d."""
+        m = len(self.members)
+        inside, closure = [0] * m, [0] * m
+        d = lcm(*(c.bbox[2] for c in self.members))
+        # each member's box interval in the first coordinate ([0, 0] in R^0), over d
+        boxes = (c.bbox for c in self.members)
+        lo, hi = zip(*((sum(l[:1]) * (d // e), sum(h[:1]) * (d // e)) for l, h, e in boxes))
+        by_lo, by_hi = sorted(range(m), key=lo.__getitem__), sorted(range(m), key=hi.__getitem__)
+        samples = []
         for j, piece in enumerate(self.pieces):
-            s, bit = piece._int_sample, 1 << j
-            for _, i in starts[: bisect_right(corners, sum(s[0][:1]) * d // s[1])]:
+            n, e = piece._int_sample
+            t = sum(n[:1]) * d  # x_0 * d = t / e
+            samples.append((t // e, -(-t // e), j))
+        samples.sort()
+        active: dict[int, None] = {}
+        joined = left = 0
+        for floor, ceil, j in samples:
+            while joined < m and lo[by_lo[joined]] <= floor:
+                active[by_lo[joined]] = None
+                joined += 1
+            while left < m and hi[by_hi[left]] < ceil:  # l <= h < ceil, so it has joined
+                del active[by_hi[left]]
+                left += 1
+            s, bit = self.pieces[j]._int_sample, 1 << j
+            for i in active:
                 if self.members[i]._holds(s, strict=False):
                     closure[i] |= bit
                     if self.members[i]._holds(s, strict=True):
@@ -69,8 +84,7 @@ class PiecewiseAffineCover:
         return validate(self)
 
 
-@dataclass(frozen=True)
-class MemberReport:
+class MemberReport(NamedTuple):
     member_index: int
     affine_open: bool
     closure_covered: bool
@@ -78,8 +92,7 @@ class MemberReport:
     uncovered_witness: Vec | None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     member_reports: tuple[MemberReport, ...]
 

@@ -45,9 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateFiber,
@@ -74,14 +73,12 @@ from .stratifier import Stratification
 from .toric import ToricAction
 
 
-@dataclass(frozen=True)
-class FiberVolume:
+class FiberVolume(NamedTuple):
     point: Vec
     volume: Fraction
 
 
-@dataclass(frozen=True)
-class DensityPoly:
+class DensityPoly(NamedTuple):
     """Multivariate polynomial with rational coefficients on one stratum."""
 
     stratum_id: int
@@ -268,8 +265,7 @@ def density_polynomial(
 # Monte-Carlo oracle (floating point, test harness only)
 
 
-@dataclass(frozen=True)
-class MCVolume:
+class MCVolume(NamedTuple):
     point: Vec
     estimate: float
     std_error: float

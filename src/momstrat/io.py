@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 from . import __version__
 from .cover import PiecewiseAffineCover, ValidationReport
 from .dh import DensityPoly
@@ -148,8 +149,7 @@ def parse_input_file(raw: bytes):
 # stratification files
 
 
-@dataclass(frozen=True)
-class StratificationDocument:
+class StratificationDocument(NamedTuple):
     stratification: Stratification
     densities: tuple[tuple[int, DensityPoly], ...]  # (stratum id, poly), sorted
     provenance: tuple[tuple[str, str], ...]  # sorted key/value pairs

@@ -25,10 +25,10 @@ effectiveness test of a subtorus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NonIntegralInput, RankDeficient
@@ -210,6 +210,56 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
+class FrozenValue:
+    """Base of the immutable values that memoize derived data on themselves
+    (``cached_property``, which needs an instance ``__dict__``).
+
+    A subclass names its fields, two or more, once, as annotations; they are
+    positional, in that order, and trailing ones may have class-level
+    defaults.  Instances of one type are equal when their fields are, the
+    hash is that of the tuple of fields, the repr is ``Name(field=value,
+    ...)`` and assigning or deleting an attribute raises ``AttributeError``.
+    Fields and caches are written straight into ``__dict__``.  Unlike a
+    generated class, defining a subclass compiles nothing, which keeps
+    ``import momstrat`` short.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__annotations__)
+        cls._defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))
+        cls._key = staticmethod(attrgetter(*fields))  # the tuple of fields, in one C call
+
+    def __init__(self, *values):
+        missing = len(self._fields) - len(values)
+        if missing:
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+            values += self._defaults[len(self._defaults) - missing :]
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def det(rows: Sequence[Vec]) -> Fraction:
     """Exact determinant of a square matrix: the last pivot of the integer
     elimination over the product of the row scales."""
@@ -218,8 +268,7 @@ def det(rows: Sequence[Vec]) -> Fraction:
     return Fraction(d, scale) if len(pivots) == len(rows) else ZERO
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
+class AffineSubspace(FrozenValue):
     """A nonempty affine subspace in canonical encoding.
 
     ``directions`` is the RREF basis of the direction space and ``base`` is

@@ -79,18 +79,18 @@ forms and the bounding box.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import and_, itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
 from .linalg import (
     ONE,
     ZERO,
     AffineSubspace,
+    FrozenValue,
     Mat,
     Vec,
     _eliminate,
@@ -191,8 +191,7 @@ def _facets(face: int, tight: Iterable[int]) -> list[int]:
 # H-polytopes
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(FrozenValue):
     """The set {x : A.x <= b} with rational data."""
 
     A: Mat
@@ -299,8 +298,7 @@ def _restrict_functional(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Fun
 # faces and the face lattice
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of a polytope: tight rows, dimension, vertices."""
 
     active_set: tuple[int, ...]
@@ -309,8 +307,7 @@ class Face:
     vertex_coords: Mat
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(NamedTuple):
     faces: tuple[Face, ...]
     vertex_list: Mat
 
@@ -367,8 +364,7 @@ def face_lattice(p: HPolytope) -> FaceLattice:
 # relatively open cells
 
 
-@dataclass(frozen=True)
-class RelOpenCell:
+class RelOpenCell(FrozenValue):
     """relint of a bounded polytope, canonical in its carrier coordinates."""
 
     carrier: AffineSubspace

@@ -11,8 +11,7 @@ connected affine-open sets integrating the field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
@@ -31,8 +30,7 @@ from .polyhedron import (
 )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     id: int
     direction: Mat
     carrier: AffineSubspace
@@ -53,8 +51,7 @@ class Stratum:
         return any(cell._holds(point, strict=False) for cell in self.cells)
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(NamedTuple):
     strata: tuple[Stratum, ...]
     frontier: tuple[tuple[int, int], ...]  # (lower id, upper id)
     ambient_dim: int
@@ -157,20 +154,23 @@ def _cell_inside_closure(sigma: RelOpenCell, stratum: Stratum) -> bool:
     return any(_within_closure(sigma, t) for t in stratum.cells)
 
 
-def _stratum_boxes(strata: Sequence[Stratum]) -> dict[int, Box]:
-    """The bounding box of each stratum's closure, by id, from its cells' boxes."""
-    return {st.id: _box_union([c.bbox for c in st.cells]) for st in strata}
+def _with_boxes(strata: Sequence[Stratum]) -> list[tuple[Stratum, int, int, Box]]:
+    """Each stratum with its id, its dimension and the bounding box of its
+    closure, from its cells' boxes.  The loops over stratum pairs read these
+    once per stratum: a NamedTuple field costs more to read than an instance
+    attribute, and the loops are quadratic."""
+    return [(st, st.id, st.dim, _box_union([c.bbox for c in st.cells])) for st in strata]
 
 
 def _frontier_pairs(strata: Sequence[Stratum]) -> tuple[tuple[int, int], ...]:
     pairs = []
-    boxes = _stratum_boxes(strata)
-    for lo in strata:
-        for up in strata:
-            if lo.dim >= up.dim or lo.id == up.id or not _box_within(boxes[lo.id], boxes[up.id]):
+    keyed = _with_boxes(strata)
+    for lo, lo_id, lo_dim, lo_box in keyed:
+        for up, up_id, up_dim, up_box in keyed:
+            if lo_dim >= up_dim or lo_id == up_id or not _box_within(lo_box, up_box):
                 continue
             if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
-                pairs.append((lo.id, up.id))
+                pairs.append((lo_id, up_id))
     return tuple(sorted(pairs))
 
 
@@ -178,16 +178,14 @@ def _frontier_pairs(strata: Sequence[Stratum]) -> tuple[tuple[int, int], ...]:
 # verification reports
 
 
-@dataclass(frozen=True)
-class FrontierViolation:
+class FrontierViolation(NamedTuple):
     lower_id: int
     upper_id: int
     reason: str
     witness: Vec | None = None
 
 
-@dataclass(frozen=True)
-class FrontierReport:
+class FrontierReport(NamedTuple):
     violations: tuple[FrontierViolation, ...]
 
     @property
@@ -200,19 +198,19 @@ def verify_frontier(s: Stratification) -> FrontierReport:
     Cell pairs are proved disjoint by one sign table over every cell and by
     their boxes before any exact test."""
     violations = []
-    boxes = _stratum_boxes(s.strata)
+    keyed = _with_boxes(s.strata)
     table = _SignTable(c for st in s.strata for c in st.cells)
-    for up in s.strata:
-        for lo in s.strata:
-            if lo.id == up.id:
+    for up, up_id, up_dim, up_box in keyed:
+        for lo, lo_id, lo_dim, lo_box in keyed:
+            if lo_id == up_id:
                 continue
-            if _bbox_disjoint(boxes[lo.id], boxes[up.id]):
+            if _bbox_disjoint(lo_box, up_box):
                 continue
             if not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
                 continue
-            if lo.dim >= up.dim:
+            if lo_dim >= up_dim:
                 violations.append(
-                    FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension")
+                    FrontierViolation(lo_id, up_id, "closure meets a stratum of equal or larger dimension")
                 )
                 continue
             # cells of one common refinement never straddle a closure, so a
@@ -223,22 +221,20 @@ def verify_frontier(s: Stratification) -> FrontierReport:
                 witness = uncovered_point(sigma, up.cells)
                 if witness is not None:
                     violations.append(
-                        FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
+                        FrontierViolation(lo_id, up_id, "stratum not contained in the closure it meets", witness)
                     )
                     break
     return FrontierReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class TangentMismatch:
+class TangentMismatch(NamedTuple):
     stratum_id: int
     point: Vec
     expected: Mat
     found: Mat
 
 
-@dataclass(frozen=True)
-class TangentReport:
+class TangentReport(NamedTuple):
     checked: int
     mismatches: tuple[TangentMismatch, ...]
 

@@ -9,7 +9,6 @@ projection of an open face, so the whole cover machinery applies verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -21,6 +20,7 @@ from .errors import (
     RankDeficient,
 )
 from .linalg import (
+    FrozenValue,
     Mat,
     Vec,
     det,
@@ -30,6 +30,7 @@ from .linalg import (
     integer_row_basis,
     kernel_lattice,
     mat,
+    mat_vec,
     nullspace,
     primitive_functional,
     rank,
@@ -44,14 +45,13 @@ from .polyhedron import (
     Face,
     HPolytope,
     RelOpenCell,
+    cell_from_closure_points,
     cell_key,
-    project_relint,
 )
 from .stratifier import Stratification, stratify
 
 
-@dataclass(frozen=True)
-class ToricAction:
+class ToricAction(FrozenValue):
     """Momentum polytope in R^n plus the subtorus inclusion matrix B (n x k)."""
 
     polytope: HPolytope
@@ -125,8 +125,7 @@ class ToricAction:
         return True
 
 
-@dataclass(frozen=True)
-class IsotropyData:
+class IsotropyData(NamedTuple):
     """Isotropy Lie algebra of the subtorus over a face, with its annihilator."""
 
     face_active_set: tuple[int, ...]
@@ -156,16 +155,27 @@ def isotropy_for_face(a: ToricAction, f: Face) -> IsotropyData:
 def face_image_cells(a: ToricAction) -> tuple[tuple[Face, RelOpenCell], ...]:
     """Every nonempty face paired with the projection of its relative interior.
 
-    Faces with one image share one cell object, so each distinct image keeps
-    one copy of its cached data (most faces of a polytope over a small torus
-    have the same image).
+    pi(relint F) is the relative interior of the hull of F's projected
+    vertices, so the vertices are projected once and one cell is built per
+    distinct set of projected vertices (``project_relint`` per face, with its
+    rank check once).  Faces with one image share one cell object, so each
+    distinct image keeps one copy of its cached data (most faces of a
+    polytope over a small torus have the same image).
     """
     b_t = a.projection
+    if rank(b_t) != len(b_t):
+        raise RankDeficient("projection matrix must have full row rank")
+    lattice = a.polytope.lattice
+    images = [mat_vec(b_t, v) for v in lattice.vertex_list]
+    by_points: dict[frozenset[Vec], RelOpenCell] = {}
     shared: dict[RelOpenCell, RelOpenCell] = {}
     pairs = []
-    for f in a.polytope.lattice.nonempty_faces():
-        cell = project_relint(f, b_t)
-        pairs.append((f, shared.setdefault(cell, cell)))
+    for f in lattice.nonempty_faces():
+        points = frozenset(images[i] for i in f.vertex_ids)
+        if points not in by_points:
+            cell = cell_from_closure_points(points)
+            by_points[points] = shared.setdefault(cell, cell)
+        pairs.append((f, by_points[points]))
     return tuple(pairs)
 
 
@@ -175,8 +185,10 @@ def momentum_cover(a: ToricAction) -> PiecewiseAffineCover:
     return PiecewiseAffineCover.make([dedup[key] for key in sorted(dedup)])
 
 
-# The two chart types are NamedTuples: a frozen dataclass costs about 1 ms
-# of ``import momstrat`` each, a NamedTuple a tenth of that.
+# The chart types are NamedTuples, as is every plain record of the package:
+# a class whose methods are generated through ``exec`` costs about 1 ms of
+# ``import momstrat`` to create, a NamedTuple a tenth of that.  The values
+# that cache derived data share ``linalg.FrozenValue`` instead.
 
 
 class FiberChart(NamedTuple):
@@ -247,7 +259,7 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
     """
     s = stratify(a.cover)
     strata = tuple(
-        replace(st, integer_direction=integer_row_basis(st.direction)) for st in s.strata
+        st._replace(integer_direction=integer_row_basis(st.direction)) for st in s.strata
     )
     return Stratification(strata, s.frontier, s.ambient_dim)
 

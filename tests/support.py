@@ -20,6 +20,7 @@ from momstrat.polyhedron import (
     _within_closure,
     cell_from_closure_points,
     cell_key,
+    project_relint,
     uncovered_point,
 )
 from momstrat.stratifier import FrontierReport, FrontierViolation, Stratification, Stratum
@@ -179,17 +180,32 @@ def random_toric_instance(seed: int, n_max: int = 6, k_max: int = 3) -> ToricAct
 @strategies.composite
 def product_actions(draw) -> ToricAction:
     """A subtorus of rank k <= 2 acting on a product of scaled, shifted
-    simplices of total dimension n <= 4."""
-    dims = draw(strategies.lists(strategies.integers(1, 3), min_size=1, max_size=3).filter(lambda d: sum(d) <= 4))
-    n = sum(dims)
+    simplices of total dimension n <= 4.
+
+    n is drawn first, and shrinks towards 3; the simplex dimensions are a
+    composition of n.  Drawn as a list of dimensions that shrinks towards
+    one segment, half of the first 20 examples of a test were the k = 1
+    action on a segment, whose image has 3 pieces."""
+    n = draw(strategies.sampled_from((3, 4, 2, 1)))
+    dims: list[int] = []
+    while sum(dims) < n:
+        dims.append(draw(strategies.integers(1, min(3, n - sum(dims)))))
+    k = draw(strategies.integers(1, min(2, n)))
     scales = [draw(strategies.integers(1, 3)) for _ in dims]
     shifts = [[draw(strategies.integers(-1, 1)) for _ in range(d)] for d in dims]
-    k = draw(strategies.integers(1, min(2, n)))
     b = mat([[draw(strategies.integers(-2, 2)) for _ in range(k)] for _ in range(n)])
     assume(rank(b) == k)
     action = ToricAction(product_polytope(dims, scales, shifts), b, "product")
     assume(action.is_effective())
     return action
+
+
+def large_product_action() -> ToricAction:
+    """A fixed n = 4, k = 2 draw of ``product_actions()`` whose image has 105
+    pieces: the tests over that strategy take it as an explicit example, so
+    they see a large cover whatever the random draws are."""
+    b = mat([[-2, 0], [1, -2], [0, 1], [1, -1]])
+    return ToricAction(product_polytope([1, 1, 2], [1, 1, 1], [[0], [0], [0, 0]]), b, "product")
 
 
 @lru_cache(maxsize=None)
@@ -289,6 +305,17 @@ def stratum_point_set(st: Stratum) -> set:
 def interior_rational_points(cell: RelOpenCell, count: int, seed: int) -> list[Vec]:
     rng = random.Random(seed)
     return cell.interior_points(count, rng)
+
+
+def per_face_images(action: ToricAction) -> tuple:
+    """``face_image_cells`` face by face: ``project_relint`` of every nonempty
+    face, equal cells shared as the first one built."""
+    shared: dict = {}
+    pairs = []
+    for f in action.polytope.lattice.nonempty_faces():
+        cell = project_relint(f, action.projection)
+        pairs.append((f, shared.setdefault(cell, cell)))
+    return tuple(pairs)
 
 
 def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:

@@ -5,14 +5,23 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from momstrat import PiecewiseAffineCover, membership_signature, validate, vec
 from momstrat.cover import MemberReport, ValidationReport, refined_cells
 from momstrat.errors import DimensionMismatch, PointOutsideSupport
-from momstrat.polyhedron import _within_closure, cell_key
+from momstrat.polyhedron import RelOpenCell, _within_closure, cell_key
 from momstrat.toric import momentum_cover
-from support import all_pairs_incidence, box_cell, corpus, paper_action, point_cell, product_actions, segment_cell
+from support import (
+    all_pairs_incidence,
+    box_cell,
+    corpus,
+    large_product_action,
+    paper_action,
+    point_cell,
+    product_actions,
+    segment_cell,
+)
 
 # SHA-256 over (cell_key, closed_A, closed_b) of every piece of the 50 corpus
 # covers, seeds 1000-1049 (1,720 pieces)
@@ -191,8 +200,9 @@ def test_pieces_partition_properties():
     assert_partition(members, pieces, points, seed=1)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(derandomize=True, deadline=None, max_examples=20)
 @given(product_actions())
+@example(large_product_action())
 def test_pieces_partition_momentum_covers_of_products_of_simplices(action):
     cover = action.cover
     rng = random.Random(7)
@@ -202,9 +212,53 @@ def test_pieces_partition_momentum_covers_of_products_of_simplices(action):
     assert cover.incidence == all_pairs_incidence(cover)
 
 
+def test_product_actions_draw_varied_examples():
+    seen = []
+
+    @settings(derandomize=True, deadline=None, max_examples=20, database=None)
+    @given(product_actions())
+    def collect(action):
+        seen.append(action)
+
+    collect()
+    assert len({(a.n, a.k, len(a.cover.pieces)) for a in seen[:20]}) >= 10
+    assert max(Counter(seen[:20]).values()) <= 3
+    # the explicit example of the tests over the strategy is a large cover
+    large = large_product_action()
+    assert (large.n, large.k, large.is_effective(), len(large.cover.pieces)) == (4, 2, True, 105)
+
+
 def test_incidence_index_matches_all_pairs():
     for cover in [counterexample_cover(), nested_interval_cover()] + [a.cover for a in corpus()]:
         assert cover.incidence == all_pairs_incidence(cover)
+
+
+def test_incidence_tests_only_members_whose_first_interval_holds_the_sample(monkeypatch):
+    """The sweep tests a piece's sample x against exactly the members whose
+    box holds x_0 in the first coordinate; the result stays the all-pairs one."""
+    covers = [counterexample_cover(), nested_interval_cover(), paper_action().cover, corpus()[3].cover]
+    for cover in map(PiecewiseAffineCover.make, (c.members for c in covers)):  # no table built yet
+        reference = all_pairs_incidence(cover)  # refines first
+        expected = Counter()
+        for piece in cover.pieces:
+            (n, e), x = piece._int_sample, piece.sample_point()
+            for m in cover.members:
+                lo, hi, d = m.bbox
+                if Fraction(lo[0], d) <= x[0] <= Fraction(hi[0], d):
+                    expected[id(m), n, e] += 1
+        tested = Counter()
+        original = RelOpenCell._holds
+
+        def counted(cell, point, strict):
+            if not strict:
+                tested[id(cell), *point] += 1
+            return original(cell, point, strict)
+
+        with monkeypatch.context() as m:
+            m.setattr(RelOpenCell, "_holds", counted)
+            table = cover.incidence
+        assert tested == expected
+        assert table == reference
 
 
 def _text(v):

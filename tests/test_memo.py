@@ -20,6 +20,7 @@ from momstrat import (
     cover as cover_module,
     density_polynomial,
     hamiltonian_stratification,
+    linalg,
     mat,
     mc_fiber_volume,
     momentum_cover,
@@ -30,7 +31,7 @@ from momstrat import (
 )
 from momstrat.polyhedron import RelOpenCell
 from momstrat.cli import main
-from support import paper_action, prism_polytope
+from support import paper_action, prism_polytope, random_toric_instance
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 SRC = Path(momstrat.__file__).resolve().parent.parent
@@ -117,8 +118,23 @@ def test_fiber_charts_built_once_per_action(monkeypatch):
     assert len(calls) == 1
 
 
+def test_face_images_build_one_cell_per_projected_vertex_set(monkeypatch):
+    corpus_1031 = random_toric_instance(1031)  # the standard 5-simplex over a circle
+    simplex = ToricAction.make(corpus_1031.polytope, corpus_1031.B)  # its face images not yet built
+    for action, faces, builds in [(paper_action(), 21, 21), (simplex, 63, 3)]:
+        assert len(action.polytope.lattice.nonempty_faces()) == faces
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, polyhedron, "cell_from_closure_points")
+            ranks = _count_calls(m, linalg, "rank")
+            action.face_images
+        assert len(calls) == builds
+        assert len(ranks) == 1  # the projection's rank, checked once per action
+
+
 def test_import_leaves_numpy_out():
-    code = "import sys, momstrat, momstrat.cli; sys.exit('numpy' in sys.modules)"
+    heavy = ("numpy", "dataclasses", "inspect")
+    code = f"import sys, momstrat, momstrat.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "numpy imported by `import momstrat`"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"`import momstrat` loads {proc.stdout.strip()}"

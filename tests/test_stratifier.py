@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from momstrat import (
     PiecewiseAffineCover,
@@ -26,6 +26,7 @@ from support import (
     box_cell,
     corpus,
     hpolytope_from_points,
+    large_product_action,
     pairwise_verify_frontier,
     paper_action,
     point_cell,
@@ -249,16 +250,18 @@ def test_verify_frontier_matches_the_pairwise_reference():
     }
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(derandomize=True, deadline=None, max_examples=20)
 @given(product_actions())
+@example(large_product_action())
 def test_frontier_invariants_on_products_of_simplices(action):
     s = hamiltonian_stratification(action)
     assert verify_frontier(s).ok
     assert s.frontier == all_pairs_frontier(s)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(derandomize=True, deadline=None, max_examples=20)
 @given(product_actions())
+@example(large_product_action())
 def test_sign_table_and_split_children_on_products_of_simplices(action):
     members = action.cover.members
     family = list(members) + closure_faces(members)

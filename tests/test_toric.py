@@ -32,6 +32,7 @@ from support import (
     in_row_space,
     mat_mul,
     paper_action,
+    per_face_images,
     random_unimodular,
     simplex_sum_action,
     square_identity_action,
@@ -203,6 +204,25 @@ def test_isotropy_at_vertex_full():
 def test_isotropy_at_outside_image():
     with pytest.raises(PointOutsideImage):
         isotropy_at(paper_action(), [10, 10])
+
+
+def _sharing(pairs) -> list[int]:
+    """For each pair, the index of the first pair holding the same cell object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(cell), i) for i, (_, cell) in enumerate(pairs)]
+
+
+def test_face_images_equal_per_face_projections():
+    for a in (paper_action(), simplex_sum_action(), *corpus()):
+        pairs, reference = face_image_cells(a), per_face_images(a)
+        assert pairs == reference
+        assert _sharing(pairs) == _sharing(reference)
+
+
+def test_face_images_check_the_projection_rank():
+    a = ToricAction(unit_square(), mat([[1, 1], [1, 1]]))  # skips the checks of make
+    with pytest.raises(RankDeficient):
+        face_image_cells(a)
 
 
 def test_isotropy_annihilator_equals_projected_face_direction():
