@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except InvalidCover as exc:

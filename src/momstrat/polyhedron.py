@@ -34,9 +34,10 @@ This module alone decides cell membership:
 
 - is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
   and ``RelOpenCell.closure_contains``, from the cached ambient rows;
-- does a cell lie in another's closure?  ``_within_closure``, from the
-  closure vertices; the refinement reads the same off its sign table
-  (``_SignTable.within``);
+- does a cell lie in another's closure?  The refinement and the frontier
+  check read it off their sign tables (``_SignTable.within``), the
+  stratifier off the closure's faces (``_face_sets``); ``_within_closure``,
+  from the closure vertices, serves where a face of a closure is no piece;
 - which hyperplane of a family of cells separates two cells?  A
   ``_SignTable`` over the family: per cell, bit sets of the family's
   hyperplanes that its closure lies below, above or off, worked out once, so
@@ -612,6 +613,12 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
 # closure faces of a cell
 
 
+def _face_sets(cell: RelOpenCell) -> dict[int, int]:
+    """Every nonempty face of Cl(cell), as a bit set over its closure vertices, with its dimension."""
+    tight = [_zeros(_excesses(r, cell._int_vertices)) for r in cell._int_facet_rows]
+    return _faces_by_incidence(tight, len(cell.closure_vertices))
+
+
 def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     """Every nonempty face of the closure of some given cell, the closures
     themselves included, each as the canonical cell that is its relative
@@ -621,8 +628,7 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     faces: dict[tuple[Vec, ...], RelOpenCell] = {}  # vertices -> a cell whose closure has that face
     for cell in cells:
         verts = cell.closure_vertices
-        tight = [_zeros(_excesses(r, cell._int_vertices)) for r in cell._int_facet_rows]
-        for s in _faces_by_incidence(tight, len(verts)):
+        for s in _face_sets(cell):
             faces.setdefault(tuple(v for i, v in enumerate(verts) if s >> i & 1), cell)
         faces[verts] = cell  # the whole closure is the cell itself
     return [c if c.closure_vertices == p else _cell(p, c.ambient_facet_rows) for p, c in sorted(faces.items())]
@@ -640,11 +646,6 @@ def _bbox_disjoint(b1: Box, b2: Box) -> bool:
     return any(h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
 
 
-def _box_within(inner: Box, outer: Box) -> bool:
-    (lo1, hi1, d1), (lo2, hi2, d2) = inner, outer
-    return all(l2 * d1 <= l1 * d2 and h1 * d2 <= h2 * d1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
 def _box_union(boxes: Sequence[Box]) -> Box:
     """The smallest box holding the given ones, over the lcm of their denominators."""
     if len(boxes) == 1:
@@ -656,10 +657,10 @@ def _box_union(boxes: Sequence[Box]) -> Box:
 
 
 def _within_closure(x: RelOpenCell, obj: RelOpenCell) -> bool:
-    """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj)."""
-    verts = x._int_vertices
+    """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj), after the boxes."""
+    (lo1, hi1, d1), (lo2, hi2, d2), verts = x.bbox, obj.bbox, x._int_vertices
     return (
-        _box_within(x.bbox, obj.bbox)
+        all(l2 * d1 <= l1 * d2 and h1 * d2 <= h2 * d1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
         and not any(any(_excesses(r, verts)) for r in obj._int_equations)
         and all(max(_excesses(r, verts)) <= 0 for r in obj._int_facet_rows)
     )

@@ -3,9 +3,13 @@
 The direction field assigns to each refined piece the intersection of the
 direction spaces of all cover members through it.  Strata are the maximal
 connected unions of pieces sharing one direction space and one affine
-translate of it, glued across codimension-one pieces of the same group;
-this merge-over-refinement construction produces the unique partition into
-connected affine-open sets integrating the field.
+translate of it: a lower piece of a translate is glued to the top pieces
+whose closures hold it.  This merge-over-refinement construction produces
+the unique partition into connected affine-open sets integrating the field.
+Which closures hold each piece is read off the pieces' face lattices
+(``_holders``), and gives the frontier too: a lower stratum lies in the
+closure of a larger one when each of its cells does.  ``verify_frontier``
+checks the frontier condition geometrically, on its own.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
 from .polyhedron import (
-    Box,
     RelOpenCell,
     _bbox_disjoint,
     _box_union,
-    _box_within,
+    _face_sets,
     _SignTable,
     _within_closure,
     cell_key,
@@ -85,93 +88,87 @@ def _translate_through(piece: RelOpenCell, direction: Mat) -> AffineSubspace:
     return AffineSubspace.from_point_and_directions(piece.carrier.base, direction)
 
 
+def _holders(pieces: Sequence[RelOpenCell]) -> list[list[int]]:
+    """For each piece, the indices of the other pieces whose closure holds it.
+
+    A relatively open piece inside Cl(t) lies in the relative interior of one
+    face of Cl(t), and the pieces partition the support, so when every face
+    of Cl(t) is a piece those faces are all the pieces inside Cl(t): they are
+    looked up by their closure vertex ids, interned once per call.  A closure
+    with a face that is no piece (the support is not closed) tests every piece.
+    """
+    ids: dict[Vec, int] = {}
+    vids = [[ids.setdefault(v, len(ids)) for v in p.closure_vertices] for p in pieces]
+    index = {tuple(sorted(own)): i for i, own in enumerate(vids)}
+    holders: list[list[int]] = [[] for _ in pieces]
+    for t, (piece, own) in enumerate(zip(pieces, vids)):
+        inside = [index.get(tuple(sorted(own[i] for i in range(len(own)) if f >> i & 1))) for f in _face_sets(piece)]
+        if None in inside:
+            inside = [i for i, p in enumerate(pieces) if _within_closure(p, piece)]
+        for i in inside:
+            if i != t:
+                holders[i].append(t)
+    return holders
+
+
 def stratify(c: PiecewiseAffineCover) -> Stratification:
     """The unique stratification of the support induced by the cover."""
-    groups: dict[AffineSubspace, list[RelOpenCell]] = {}  # pieces in d-field order, by cell_key
-    for piece, direction in compute_d_field(c):
+    field = compute_d_field(c)
+    pieces = [piece for piece, _ in field]
+    groups: dict[AffineSubspace, list[int]] = {}  # piece indices in d-field order, by cell_key
+    for i, (piece, direction) in enumerate(field):
         translate = _translate_through(piece, direction)
         if not all(translate.contains(v) for v in piece.closure_vertices):
             raise NonIntegrable(
                 f"refined piece at {_point(piece.sample_point())} "
                 "leaves the translate of its direction space"
             )
-        groups.setdefault(translate, []).append(piece)
+        groups.setdefault(translate, []).append(i)
+    holders = _holders(pieces)
+    parent = list(range(len(pieces)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     strata_raw = []
     for translate in sorted(groups, key=lambda t: (t.dim, t.base, t.directions)):
-        cells = groups[translate]
-        r = translate.dim
-        tops = [i for i, cell in enumerate(cells) if cell.dim == r]
-        lowers = [i for i, cell in enumerate(cells) if cell.dim < r]
-        parent = list(range(len(cells)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        attach_edges = []
-        for li in lowers:
-            low = cells[li]
-            containing = [ti for ti in tops if _within_closure(low, cells[ti])]
+        members = groups[translate]
+        tops = {g for g in members if pieces[g].dim == translate.dim}
+        edges = []  # a lower piece is glued to the top pieces of its translate that hold it
+        for g in [g for g in members if g not in tops]:
+            containing = [h for h in holders[g] if h in tops]
             if not containing:
                 raise NonIntegrable(
-                    f"group piece of positive codimension at {_point(low.sample_point())} "
+                    f"group piece of positive codimension at {_point(pieces[g].sample_point())} "
                     "not glued to any top piece"
                 )
-            for ti in containing:
-                union(li, ti)
-                attach_edges.append((li, ti))
+            for h in containing:
+                ri, rh = find(g), find(h)
+                parent[max(ri, rh)] = min(ri, rh)
+                edges.append((g, h))
         components: dict[int, list[int]] = {}
-        for i in range(len(cells)):
-            components.setdefault(find(i), []).append(i)
-        for root in sorted(components):
-            idxs = components[root]
-            comp_cells = tuple(cells[i] for i in idxs)
-            remap = {orig: new for new, orig in enumerate(idxs)}
-            edges = tuple(
-                sorted((remap[a], remap[b]) for a, b in attach_edges if a in remap and b in remap)
-            )
-            strata_raw.append((translate, comp_cells, edges))
+        for g in members:
+            components.setdefault(find(g), []).append(g)
+        for idxs in components.values():
+            remap = {g: i for i, g in enumerate(idxs)}
+            strata_raw.append((translate, idxs, tuple(sorted((remap[a], remap[b]) for a, b in edges if a in remap))))
 
-    strata_raw.sort(key=lambda s: (s[0].dim, s[0].base, s[0].directions, tuple(cell_key(c0) for c0 in s[1])))
+    strata_raw.sort(key=lambda s: (s[0].dim, s[0].base, s[0].directions, tuple(cell_key(pieces[g]) for g in s[1])))
     strata = tuple(
-        Stratum(i, translate.directions, translate, cells, translate.dim, edges)
-        for i, (translate, cells, edges) in enumerate(strata_raw)
+        Stratum(i, translate.directions, translate, tuple(pieces[g] for g in idxs), translate.dim, edges)
+        for i, (translate, idxs, edges) in enumerate(strata_raw)
     )
-    frontier = _frontier_pairs(strata)
-    return Stratification(strata, frontier, c.ambient_dim)
-
-
-def _cell_inside_closure(sigma: RelOpenCell, stratum: Stratum) -> bool:
-    """sigma ⊆ Cl(stratum); complete for cells of one common refinement."""
-    return any(_within_closure(sigma, t) for t in stratum.cells)
-
-
-def _with_boxes(strata: Sequence[Stratum]) -> list[tuple[Stratum, int, int, Box]]:
-    """Each stratum with its id, its dimension and the bounding box of its
-    closure, from its cells' boxes.  The loops over stratum pairs read these
-    once per stratum: a NamedTuple field costs more to read than an instance
-    attribute, and the loops are quadratic."""
-    return [(st, st.id, st.dim, _box_union([c.bbox for c in st.cells])) for st in strata]
-
-
-def _frontier_pairs(strata: Sequence[Stratum]) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    keyed = _with_boxes(strata)
-    for lo, lo_id, lo_dim, lo_box in keyed:
-        for up, up_id, up_dim, up_box in keyed:
-            if lo_dim >= up_dim or lo_id == up_id or not _box_within(lo_box, up_box):
-                continue
-            if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
-                pairs.append((lo_id, up_id))
-    return tuple(sorted(pairs))
+    owner = {g: i for i, (_, idxs, _) in enumerate(strata_raw) for g in idxs}
+    frontier = sorted(
+        (st.id, up)
+        for st, (_, idxs, _) in zip(strata, strata_raw)
+        for up in set.intersection(*({owner[h] for h in holders[g]} for g in idxs))
+        if strata[up].dim > st.dim
+    )
+    return Stratification(strata, tuple(frontier), c.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +191,11 @@ class FrontierReport(NamedTuple):
 
 
 def verify_frontier(s: Stratification) -> FrontierReport:
-    """Exhaustive exact check of the frontier condition on all stratum pairs.
-    Cell pairs are proved disjoint by one sign table over every cell and by
-    their boxes before any exact test."""
+    """Exhaustive exact check of the frontier condition on all stratum pairs,
+    independent of ``stratify``.  Cell pairs are proved disjoint, and cells
+    inside closures, by one sign table over every cell and by the boxes."""
     violations = []
-    keyed = _with_boxes(s.strata)
+    keyed = [(st, st.id, st.dim, _box_union([c.bbox for c in st.cells])) for st in s.strata]
     table = _SignTable(c for st in s.strata for c in st.cells)
     for up, up_id, up_dim, up_box in keyed:
         for lo, lo_id, lo_dim, lo_box in keyed:
@@ -214,8 +211,9 @@ def verify_frontier(s: Stratification) -> FrontierReport:
                 )
                 continue
             # cells of one common refinement never straddle a closure, so a
-            # per-cell containment scan settles almost every pair cheaply
-            if all(_cell_inside_closure(sigma, up) for sigma in lo.cells):
+            # per-cell containment scan on the table settles almost every
+            # pair; every cell is in the table's family, so it is exact
+            if all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells):
                 continue
             for sigma in lo.cells:
                 witness = uncovered_point(sigma, up.cells)

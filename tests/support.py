@@ -413,3 +413,21 @@ def all_pairs_frontier(s: Stratification) -> tuple[tuple[int, int], ...]:
         for up in s.strata
         if lo.dim < up.dim and all(any(_within_closure(sigma, t) for t in up.cells) for sigma in lo.cells)
     )
+
+
+def all_pairs_holders(pieces) -> list[list[int]]:
+    """For each piece, the other pieces whose closure holds it, by
+    ``_within_closure`` on every pair."""
+    return [[t for t, q in enumerate(pieces) if t != i and _within_closure(p, q)] for i, p in enumerate(pieces)]
+
+
+def all_pairs_adjacency(st: Stratum) -> tuple[tuple[int, int], ...]:
+    """The gluing edges of a stratum: every (lower cell, top cell) pair of
+    its cells with the lower cell in the top cell's closure."""
+    return tuple(
+        (i, j)
+        for i, low in enumerate(st.cells)
+        if low.dim < st.dim
+        for j, top in enumerate(st.cells)
+        if top.dim == st.dim and _within_closure(low, top)
+    )

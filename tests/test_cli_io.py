@@ -181,6 +181,15 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("stratify", str(INPUTS / "counterexample_cover.json")) == 3
 
 
+@pytest.mark.parametrize("command", ["stratify", "render", "validate-cover"])
+def test_cli_directory_input_exits_2_without_traceback(tmp_path, command):
+    argv = [sys.executable, "-m", "momstrat.cli", command, str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error:")
+
+
 def test_cli_render_paper(tmp_path):
     strat = tmp_path / "strat.json"
     run_cli("dh", str(INPUTS / "paper_cp1xcp2.json"), "--out", str(strat))

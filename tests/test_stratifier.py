@@ -22,7 +22,9 @@ from momstrat.polyhedron import _SignTable, _within_closure, cell_from_closure_p
 from momstrat.stratifier import Stratification, Stratum
 from momstrat.toric import hamiltonian_stratification, momentum_cover
 from support import (
+    all_pairs_adjacency,
     all_pairs_frontier,
+    all_pairs_holders,
     box_cell,
     corpus,
     hpolytope_from_points,
@@ -256,7 +258,34 @@ def test_verify_frontier_matches_the_pairwise_reference():
 def test_frontier_invariants_on_products_of_simplices(action):
     s = hamiltonian_stratification(action)
     assert verify_frontier(s).ok
+    _assert_holders_match_all_pairs(action.cover, s)
+
+
+def _assert_holders_match_all_pairs(cover, s):
+    """The holder relation, the gluing edges and the frontier equal their
+    references by ``_within_closure`` on every pair of pieces."""
+    pieces = [piece for piece, _ in compute_d_field(cover)]
+    assert stratifier._holders(pieces) == all_pairs_holders(pieces)
+    assert [st.adjacency for st in s.strata] == [all_pairs_adjacency(st) for st in s.strata]
     assert s.frontier == all_pairs_frontier(s)
+
+
+def test_holders_match_all_pairs_on_the_corpus():
+    for action in corpus():
+        _assert_holders_match_all_pairs(action.cover, stratification_for(action))
+
+
+@pytest.mark.parametrize("segment", [(["0", "1/2"], ["0", "1"]), (["0", "1/4"], ["0", "3/4"])])
+def test_frontier_of_a_cover_whose_support_is_not_closed(segment):
+    # the open unit square and an open segment on its left edge: the edge is
+    # a face of the square's closure but no piece, so the square's closure
+    # is searched piece by piece, and the segment lies in it
+    cover = PiecewiseAffineCover.make([box_cell([[0, 0], [0, 1], [1, 0], [1, 1]]), segment_cell(*segment)])
+    s = stratify(cover)
+    assert [st.dim for st in s.strata] == [1, 2]
+    assert s.frontier == ((0, 1),) == all_pairs_frontier(s)
+    assert verify_frontier(s).ok
+    _assert_holders_match_all_pairs(cover, s)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -383,6 +412,6 @@ def test_non_integrable_errors_name_the_piece(monkeypatch):
         m.setattr(stratifier, "_translate_through", lambda piece, direction: far)
         with pytest.raises(NonIntegrable, match=re.escape(f"piece at ({first[0]}, {first[1]}) leaves")):
             stratify(cover)
-    monkeypatch.setattr(stratifier, "_within_closure", lambda x, obj: False)
+    monkeypatch.setattr(stratifier, "_holders", lambda pieces: [[] for _ in pieces])
     with pytest.raises(NonIntegrable, match=re.escape("codimension at (1, 0) not glued")):
         stratify(cover)
