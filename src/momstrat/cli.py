@@ -43,13 +43,11 @@ EXIT_RENDER_DIM = 6
 
 
 def _default_seed() -> int:
-    env = os.environ.get("STRATA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    env = os.environ.get("STRATA_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"STRATA_SEED is not an integer: {env!r}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -207,14 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # the default seed reads STRATA_SEED
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except OSError as exc:  # a missing, unreadable or directory path
+    except (ParseError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except InvalidCover as exc:

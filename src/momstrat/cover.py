@@ -12,13 +12,12 @@ validation and the direction field share.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import lcm
 from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import FrozenValue, Vec, vec
-from .polyhedron import RelOpenCell, _refine_engine
+from .polyhedron import RelOpenCell, _box_pairs, _refine_engine
 
 
 class PiecewiseAffineCover(FrozenValue):
@@ -42,40 +41,17 @@ class PiecewiseAffineCover(FrozenValue):
     @cached_property
     def incidence(self) -> tuple[tuple[int, int], ...]:
         """Per member, the bit sets over ``pieces`` of the pieces inside it
-        and of those inside its closure (bit j for ``pieces[j]``).  A sweep
-        on the first coordinate tests a piece's sample point x only against
-        the members whose box interval [l, h] there holds x_0: the pieces go
-        by increasing x_0, and a member is active from l <= x_0 until
-        h < x_0.  Over the common denominator d of the boxes, l and h are
-        integers, compared with the floor and the ceiling of x_0 * d."""
-        m = len(self.members)
-        inside, closure = [0] * m, [0] * m
-        d = lcm(*(c.bbox[2] for c in self.members))
-        # each member's box interval in the first coordinate ([0, 0] in R^0), over d
-        boxes = (c.bbox for c in self.members)
-        lo, hi = zip(*((sum(l[:1]) * (d // e), sum(h[:1]) * (d // e)) for l, h, e in boxes))
-        by_lo, by_hi = sorted(range(m), key=lo.__getitem__), sorted(range(m), key=hi.__getitem__)
-        samples = []
-        for j, piece in enumerate(self.pieces):
-            n, e = piece._int_sample
-            t = sum(n[:1]) * d  # x_0 * d = t / e
-            samples.append((t // e, -(-t // e), j))
-        samples.sort()
-        active: dict[int, None] = {}
-        joined = left = 0
-        for floor, ceil, j in samples:
-            while joined < m and lo[by_lo[joined]] <= floor:
-                active[by_lo[joined]] = None
-                joined += 1
-            while left < m and hi[by_hi[left]] < ceil:  # l <= h < ceil, so it has joined
-                del active[by_hi[left]]
-                left += 1
-            s, bit = self.pieces[j]._int_sample, 1 << j
-            for i in active:
-                if self.members[i]._holds(s, strict=False):
-                    closure[i] |= bit
-                    if self.members[i]._holds(s, strict=True):
-                        inside[i] |= bit
+        and of those inside its closure (bit j for ``pieces[j]``).  A piece's
+        sample point is tested only against the members whose box holds it:
+        the box sweep ``_box_pairs`` pairs the member boxes with the sample
+        points, read as boxes of one point."""
+        inside, closure = [0] * len(self.members), [0] * len(self.members)
+        samples = [p._int_sample for p in self.pieces]
+        for i, j in _box_pairs([c.bbox for c in self.members], [(n, n, e) for n, e in samples]):
+            if self.members[i]._holds(samples[j], strict=False):
+                closure[i] |= 1 << j
+                if self.members[i]._holds(samples[j], strict=True):
+                    inside[i] |= 1 << j
         return tuple(zip(inside, closure))
 
     @cached_property

@@ -22,8 +22,9 @@ that hold on every point and are tight on a maximal set of them, so equal
 cells have bit-identical encodings whatever the candidates.  Callers pass
 the rows they already hold.  ``split_cell`` builds the two sides of a cut
 in the cell's frame: they keep its carrier, and its canonical local rows
-with their ambient lifts, and only the cut is restricted and lifted; the
-piece on the cut gets the cell's ambient facet rows and the cut.
+with their ambient lifts, and only the cut (restricted and lifted) and the
+crossing points (lifted once) are converted; the piece on the cut gets the
+cell's ambient facet rows and the cut.
 ``closure_faces`` gives a face the facet rows of the closure it came from,
 and a whole closure is that cell.  Only ``cell_from_closure_points`` tries
 every hyperplane through d affinely independent points.  The faces of a
@@ -44,13 +45,15 @@ This module alone decides cell membership:
   that each pair is a few bit operations.  The refinement builds one over
   its members and closure faces, the frontier check one over the
   stratification's cells; a table lives for that one call;
+- which boxes meet?  One sweep, ``_box_pairs``, pairs the cover's members
+  with the pieces' sample points (``incidence``), the refinement's objects
+  with its pieces, and the frontier check's strata with each other;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
-  both the refinement (``_membership_constant``, after the boxes and
-  ``within``) and the frontier check call with the table they built.  The
-  refinement's pieces are plain cells with no record of their signs:
-  ``meets`` tries the table, the boxes and x's sample point, then tells a
-  piece that misses an object by splitting x by the object's hyperplanes
-  (``_split_by``) and testing one sample point per piece;
+  both the refinement (after ``within``) and the frontier check call with
+  the table they built.  The refinement's pieces are plain cells with no
+  record of their signs: ``meets`` tries the table, the boxes and x's sample
+  point, then tells a piece that misses an object by splitting x by the
+  object's hyperplanes (``_split_by``) and testing one sample point per piece;
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None, by the same split and sample test.
 
@@ -80,10 +83,11 @@ forms and the bounding box.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import and_, itemgetter, mul
+from operator import and_, itemgetter, le, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
@@ -501,18 +505,18 @@ def _cell(
     The candidates are ambient rows among which every facet of conv(points)
     lies; None means every hyperplane through d affinely independent points,
     found and tested in carrier coordinates.  Given the ``carrier``, which
-    conv(points) spans, the points are local and each candidate is a
-    canonical local row with its ambient lift and that lift's integer form,
-    which the cell keeps.  A candidate that holds on every point and is tight
-    on some cuts out a face, and every face lies in a facet, so the facets
-    are the candidates tight on a maximal set of points (``_facets``); they
-    are restricted to the carrier, oriented and sorted.  A point is a closure
-    vertex when the facets through it meet in it alone.
+    conv(points) spans, the points are (local, ambient) pairs and each
+    candidate is a canonical local row with its ambient lift and that lift's
+    integer form, which the cell keeps.  A candidate that holds on every
+    point and is tight on some cuts out a face, and every face lies in a
+    facet, so the facets are the candidates tight on a maximal set of points
+    (``_facets``); they are restricted to the carrier, oriented and sorted.
+    A point is a closure vertex when the facets through it meet in it alone.
     """
-    pts = sorted(set(points))
+    pts = sorted(set(points))  # pairs sort as their distinct local coordinates
     scan, inherit = candidates is None, carrier is not None
-    if not inherit:
-        carrier = AffineSubspace.from_points(pts)
+    pts, ambient = zip(*pts) if inherit else (pts, pts)
+    carrier = carrier if inherit else AffineSubspace.from_points(pts)
     local = [carrier.to_local(p) for p in pts] if scan else pts
     frame = _int_points(local)
     faces: dict[int, tuple] = {}  # tight points as a bit set -> (candidate, holds as is)
@@ -531,13 +535,13 @@ def _cell(
         rows[_canon_row((a, b) if holds else _neg((a, b)))] = tight, ()
     order = sorted(rows.items(), key=itemgetter(0))
     tights = [t for t, _ in rows.values()]
-    verts = [p for i, p in enumerate(pts) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
+    verts = [i for i in range(len(pts)) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
     excluded = tuple((i,) for i in range(len(order)))
-    closure = tuple(map(carrier.from_local, verts)) if inherit else tuple(verts)
+    closure = tuple(ambient[i] for i in verts)
     cell = RelOpenCell(carrier, tuple(r[0] for r, _ in order), tuple(r[1] for r, _ in order), excluded, closure)
     if inherit:  # the caches the cell would derive again
-        ambient, ints = zip(*(lift for _, (_, lift) in order))  # a side of a split has facets
-        vars(cell).update(local_vertices=tuple(verts), ambient_facet_rows=ambient, _int_facet_rows=ints)
+        lifts, ints = zip(*(lift for _, (_, lift) in order))  # a side of a split has facets
+        vars(cell).update(local_vertices=tuple(pts[i] for i in verts), ambient_facet_rows=lifts, _int_facet_rows=ints)
     return cell
 
 
@@ -582,29 +586,29 @@ def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
         if not negs and not poss:
             return {0: cell}
         return {-1 if negs else 1: cell}
-    local_pts = cell.local_vertices
+    pts = list(zip(cell.local_vertices, cell.closure_vertices))  # (local, ambient)
     facets = [_zeros(_excesses(r, verts)) for r in cell._int_facet_rows]
-    crossings: list[Vec] = []
+    crossings: list[tuple[Vec, Vec]] = []
+    carrier = cell.carrier
     for i in negs:
-        u, vu = local_pts[i], vals[i]
+        (u, _), vu = pts[i], vals[i]
         for j in poss:
             if _smallest_face(facets, 1 << i | 1 << j, len(vals)) != 1 << i | 1 << j:
                 continue  # no edge joins the two vertices
-            w, vw = local_pts[j], vals[j]
+            (w, _), vw = pts[j], vals[j]
             # the excesses share one positive scale, so their ratio is exact
-            lam = Fraction(vu, vu - vw)
-            crossings.append(add(u, scale(sub(w, u), lam)))
-    carrier = cell.carrier
+            t = add(u, scale(sub(w, u), Fraction(vu, vu - vw)))
+            crossings.append((t, carrier.from_local(t)))
     kept = list(zip(cell.local_rows(), cell.ambient_facet_rows, cell._int_facet_rows))
     down = _canon_row(_restrict_functional(carrier, *cut))
     lift = _canon_row(_lift_functional(carrier, *down))
     below = (down, lift, _int_row(lift))
-    on = [p for p, v in zip(local_pts, vals) if v == 0] + crossings
-    lo = [p for p, v in zip(local_pts, vals) if v < 0] + on
-    hi = [p for p, v in zip(local_pts, vals) if v > 0] + on
+    on = [p for p, v in zip(pts, vals) if v == 0] + crossings
+    lo = [p for p, v in zip(pts, vals) if v < 0] + on
+    hi = [p for p, v in zip(pts, vals) if v > 0] + on
     return {
         -1: _cell(lo, [*kept, below], carrier),
-        0: _cell(map(carrier.from_local, on), [*cell.ambient_facet_rows, cut, _neg(cut)]),
+        0: _cell([x for _, x in on], [*cell.ambient_facet_rows, cut, _neg(cut)]),
         1: _cell(hi, [*kept, tuple(map(_neg, below))], carrier),
     }
 
@@ -644,6 +648,42 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 def _bbox_disjoint(b1: Box, b2: Box) -> bool:
     (lo1, hi1, d1), (lo2, hi2, d2) = b1, b2
     return any(h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+
+
+def _box_pairs(left: Sequence[Box], right: Sequence[Box] | None = None) -> Iterator[tuple[int, int]]:
+    """Every (i, j) whose closed boxes left[i] and right[j] intersect, or with
+    no ``right`` left[i] and left[j] for i != j, once each, by the scanning
+    step of Zomorodian and Edelsbrunner, "Fast software for box
+    intersections" (2000).  Over the common denominator the boxes are sorted
+    on the first coordinate, and a box is tested only against those that
+    start within its first interval: the left boxes at or after its start
+    for a right one, the others strictly after it.  In R^0 all boxes meet."""
+    d = lcm(*[e for _, _, e in left], *[e for _, _, e in right or ()])
+
+    def scaled(boxes):  # (lo, hi, index) over d, by first start; [0], [0] in R^0
+        rows = []
+        for k, (lo, hi, e) in enumerate(boxes):
+            m = d // e
+            rows.append(([c * m for c in lo] or [0], [c * m for c in hi] or [0], k))
+        rows.sort(key=lambda r: r[0][0])
+        return rows, [lo[0] for lo, _, _ in rows]
+
+    a, a_starts = scaled(left)
+    if right is None:  # each pair from the box that comes first
+        for p, (lo, hi, i) in enumerate(a):
+            for lo2, hi2, j in a[p + 1 : bisect_right(a_starts, hi[0])]:
+                if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):
+                    yield from ((i, j), (j, i))
+        return
+    b, b_starts = scaled(right)
+    for lo, hi, j in b:
+        for lo2, hi2, i in a[bisect_left(a_starts, lo[0]) : bisect_right(a_starts, hi[0])]:
+            if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):
+                yield i, j
+    for lo, hi, i in a:
+        for lo2, hi2, j in b[bisect_right(b_starts, lo[0]) : bisect_right(b_starts, hi[0])]:
+            if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):
+                yield i, j
 
 
 def _box_union(boxes: Sequence[Box]) -> Box:
@@ -744,17 +784,6 @@ def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> 
     return any(obj._holds(piece._int_sample, strict=not closed) for piece in _split_by(x, [obj]))
 
 
-def _membership_constant(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> bool:
-    """Is membership in obj (read as closed or open) constant on x?
-
-    Inside the closure it is: constant true for the closed object, and for
-    the open one x lies either inside a facet (constant false) or strictly
-    inside every facet (constant true).  Otherwise it is non-constant
-    exactly when x still meets obj.
-    """
-    return _bbox_disjoint(x.bbox, obj.bbox) or table.within(x, obj) or not meets(x, obj, closed, table)
-
-
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:
     """Cut functionals that make membership in obj sign-determined: its rows, sign fixed."""
     return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
@@ -796,14 +825,14 @@ def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional
     return cuts
 
 
-def _distinct(cells: Iterable[RelOpenCell]) -> dict:
-    """The cells by dimension and integer closure vertices, each kept as first
-    seen: overlapping cells give identical classes, and a cell that a cut
-    left intact keeps the data it has cached."""
+def _distinct(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
+    """The cells distinct by dimension and integer closure vertices, each kept
+    as first seen: overlapping cells give identical classes, and a cell that
+    a cut left intact keeps the data it has cached."""
     out: dict = {}
     for c in cells:
         out.setdefault((c.dim, c._int_vertices), c)
-    return out
+    return list(out.values())
 
 
 def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
@@ -815,7 +844,11 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     final pieces are the sign classes of that set intersected with the
     cells, independent of any processing order.  An object all of whose
     defining hyperplanes are already cuts is sign-determined and needs no
-    geometric test.
+    geometric test.  Membership in any other object is constant on a piece
+    whose box misses the object's (``_box_pairs`` leaves that pair out) and
+    on a piece inside its closure, which lies inside a facet of the open
+    object or strictly inside every facet; a piece that still meets the
+    object demands the object's hyperplanes as cuts.
     """
     objects = list(dict.fromkeys((c, False) for c in cells))
     objects += [(face, True) for face in closure_faces(cells)]
@@ -826,15 +859,15 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     pending = sorted(cuts)
     while True:
         for cut in pending:
-            pieces = _distinct(c for p in pieces.values() for c in split_cell(p, cut).values())
-        demands: set[Functional] = set()
-        for (obj, closed), funcs in zip(objects, obj_funcs):
-            if funcs <= cuts:
-                continue  # fully sign-determined: membership constant per piece
-            if not all(_membership_constant(p, obj, closed, table) for p in pieces.values()):
-                demands |= funcs
-        new = demands - cuts
+            pieces = _distinct(c for p in pieces for c in split_cell(p, cut).values())
+        live = [k for k, funcs in enumerate(obj_funcs) if not funcs <= cuts]
+        demanded: set[int] = set()
+        for i, j in _box_pairs([objects[k][0].bbox for k in live], [p.bbox for p in pieces]):
+            (obj, closed), x = objects[live[i]], pieces[j]
+            if live[i] not in demanded and not table.within(x, obj) and meets(x, obj, closed, table):
+                demanded.add(live[i])
+        new = set().union(*(obj_funcs[k] for k in demanded)) - cuts
         if not new:
-            return sorted(pieces.values(), key=cell_key)
+            return sorted(pieces, key=cell_key)
         cuts |= new
         pending = sorted(new)

@@ -22,7 +22,7 @@ from .cover import PiecewiseAffineCover, membership_signature
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
 from .polyhedron import (
     RelOpenCell,
-    _bbox_disjoint,
+    _box_pairs,
     _box_union,
     _face_sets,
     _SignTable,
@@ -192,36 +192,32 @@ class FrontierReport(NamedTuple):
 
 def verify_frontier(s: Stratification) -> FrontierReport:
     """Exhaustive exact check of the frontier condition on all stratum pairs,
-    independent of ``stratify``.  Cell pairs are proved disjoint, and cells
+    independent of ``stratify``.  Only the pairs whose stratum boxes meet can
+    meet; one box sweep (``_box_pairs``) yields them, and they are taken by
+    (upper, lower) position.  Cell pairs are proved disjoint, and cells
     inside closures, by one sign table over every cell and by the boxes."""
     violations = []
-    keyed = [(st, st.id, st.dim, _box_union([c.bbox for c in st.cells])) for st in s.strata]
+    boxes = [_box_union([c.bbox for c in st.cells]) for st in s.strata]
     table = _SignTable(c for st in s.strata for c in st.cells)
-    for up, up_id, up_dim, up_box in keyed:
-        for lo, lo_id, lo_dim, lo_box in keyed:
-            if lo_id == up_id:
-                continue
-            if _bbox_disjoint(lo_box, up_box):
-                continue
-            if not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
-                continue
-            if lo_dim >= up_dim:
+    for u, l in sorted(_box_pairs(boxes)):
+        up, lo = s.strata[u], s.strata[l]
+        if not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
+            continue
+        if lo.dim >= up.dim:
+            violations.append(FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension"))
+            continue
+        # cells of one common refinement never straddle a closure, so a
+        # per-cell containment scan on the table settles almost every
+        # pair; every cell is in the table's family, so it is exact
+        if all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells):
+            continue
+        for sigma in lo.cells:
+            witness = uncovered_point(sigma, up.cells)
+            if witness is not None:
                 violations.append(
-                    FrontierViolation(lo_id, up_id, "closure meets a stratum of equal or larger dimension")
+                    FrontierViolation(lo.id, up.id, "stratum not contained in the closure it meets", witness)
                 )
-                continue
-            # cells of one common refinement never straddle a closure, so a
-            # per-cell containment scan on the table settles almost every
-            # pair; every cell is in the table's family, so it is exact
-            if all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells):
-                continue
-            for sigma in lo.cells:
-                witness = uncovered_point(sigma, up.cells)
-                if witness is not None:
-                    violations.append(
-                        FrontierViolation(lo_id, up_id, "stratum not contained in the closure it meets", witness)
-                    )
-                    break
+                break
     return FrontierReport(tuple(violations))
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -388,6 +389,15 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["dh", "x.json"])
     assert args.seed == 12345
+
+
+def test_malformed_seed_env_exits_2_without_traceback():
+    argv = [sys.executable, "-m", "momstrat.cli", "dh", str(INPUTS / "simplex_sum.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "STRATA_SEED": "abc"})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "parse error: STRATA_SEED is not an integer: 'abc'\n"
+    assert proc.stdout == ""
 
 
 def _square_spec(normal=(1, 0), offset="1", matrix=((1, 0), (0, 1))):

@@ -233,9 +233,9 @@ def test_incidence_index_matches_all_pairs():
         assert cover.incidence == all_pairs_incidence(cover)
 
 
-def test_incidence_tests_only_members_whose_first_interval_holds_the_sample(monkeypatch):
-    """The sweep tests a piece's sample x against exactly the members whose
-    box holds x_0 in the first coordinate; the result stays the all-pairs one."""
+def test_incidence_tests_only_members_whose_box_holds_the_sample(monkeypatch):
+    """The box sweep tests a piece's sample x against exactly the members
+    whose whole box holds x; the result stays the all-pairs one."""
     covers = [counterexample_cover(), nested_interval_cover(), paper_action().cover, corpus()[3].cover]
     for cover in map(PiecewiseAffineCover.make, (c.members for c in covers)):  # no table built yet
         reference = all_pairs_incidence(cover)  # refines first
@@ -244,7 +244,7 @@ def test_incidence_tests_only_members_whose_first_interval_holds_the_sample(monk
             (n, e), x = piece._int_sample, piece.sample_point()
             for m in cover.members:
                 lo, hi, d = m.bbox
-                if Fraction(lo[0], d) <= x[0] <= Fraction(hi[0], d):
+                if all(Fraction(l, d) <= c <= Fraction(h, d) for l, c, h in zip(lo, x, hi)):
                     expected[id(m), n, e] += 1
         tested = Counter()
         original = RelOpenCell._holds

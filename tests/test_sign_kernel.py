@@ -3,7 +3,7 @@
 closure vertices), ``meets`` and the sign table against vertex enumeration
 and the sign table against the pairwise separation test it replaced, and
 the incidence routines (bit-set tight sets, face dimensions by descent, fan
-volumes) against ranks and closed forms."""
+volumes) against ranks and closed forms; and the box sweep against all pairs."""
 
 import math
 from fractions import Fraction
@@ -16,6 +16,7 @@ from momstrat.dh import polytope_volume
 from momstrat.linalg import AffineSubspace, dot, vec
 from momstrat.polyhedron import (
     _bbox_disjoint,
+    _box_pairs,
     _faces_by_incidence,
     _SignTable,
     _restrict_functional,
@@ -141,6 +142,44 @@ def test_bbox_disjoint_matches_fraction_reference(c1, j):
     (lo1, hi1), (lo2, hi2) = fraction_bbox(c1), fraction_bbox(c2)
     expected = any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
     assert _bbox_disjoint(c1.bbox, c2.bbox) == expected
+
+
+@st.composite
+def box_families(draw):
+    """Two lists of integer boxes in R^0 .. R^3 over mixed denominators, with
+    small corners, so that faces often touch, and some boxes one point."""
+    dim = draw(st.integers(min_value=0, max_value=3))
+    corner = st.lists(st.integers(min_value=-4, max_value=4), min_size=dim, max_size=dim)
+
+    def box():
+        lo = draw(corner)
+        hi = lo if draw(st.booleans()) else [l + draw(st.integers(min_value=0, max_value=4)) for l in lo]
+        return tuple(lo), tuple(hi), draw(st.sampled_from([1, 2, 3, 6]))
+
+    return [[box() for _ in range(draw(st.integers(min_value=0, max_value=8)))] for _ in range(2)]
+
+
+@SETTINGS
+@given(box_families())
+def test_box_pairs_match_all_pairs(families):
+    left, right = families
+    bipartite, within = list(_box_pairs(left, right)), list(_box_pairs(left))
+    assert len(bipartite) == len(set(bipartite)) and len(within) == len(set(within))
+    assert set(bipartite) == {
+        (i, j) for i, b1 in enumerate(left) for j, b2 in enumerate(right) if not _bbox_disjoint(b1, b2)
+    }
+    assert set(within) == {
+        (i, j) for i, b1 in enumerate(left) for j, b2 in enumerate(left) if i != j and not _bbox_disjoint(b1, b2)
+    }
+
+
+def test_box_pairs_on_touching_faces_points_and_r0():
+    square = ((0, 0), (1, 1), 1)
+    touching, point_beyond = ((2, 1), (4, 3), 2), ((3, 0), (3, 0), 2)  # [1, 2] x [1/2, 3/2]; (3/2, 0)
+    assert list(_box_pairs([square], [touching, point_beyond])) == [(0, 0)]
+    assert sorted(_box_pairs([square, touching, point_beyond])) == [(0, 1), (1, 0)]
+    assert sorted(_box_pairs([((), (), 1)] * 2, [((), (), 3)])) == [(0, 0), (1, 0)]
+    assert sorted(_box_pairs([((), (), 1)] * 2)) == [(0, 1), (1, 0)]
 
 
 @SETTINGS
