@@ -42,12 +42,12 @@ EXIT_INTERPOLATION = 5
 EXIT_RENDER_DIM = 6
 
 
-def _default_seed() -> int:
-    env = os.environ.get("STRATA_SEED", "0")
+def _default_seed() -> int | None:
+    """STRATA_SEED, then 0; None when STRATA_SEED is not an integer."""
     try:
-        return int(env)
+        return int(os.environ.get("STRATA_SEED", "0"))
     except ValueError:
-        raise ParseError(f"STRATA_SEED is not an integer: {env!r}") from None
+        return None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -205,8 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)  # the default seed reads STRATA_SEED
+        if args.seed is None:  # no --seed, and STRATA_SEED is not an integer
+            raise ParseError(f"STRATA_SEED is not an integer: {os.environ['STRATA_SEED']!r}")
         return args.func(args)
     except (ParseError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         sys.stderr.write(f"parse error: {exc}\n")

@@ -650,15 +650,15 @@ def _bbox_disjoint(b1: Box, b2: Box) -> bool:
     return any(h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
 
 
-def _box_pairs(left: Sequence[Box], right: Sequence[Box] | None = None) -> Iterator[tuple[int, int]]:
-    """Every (i, j) whose closed boxes left[i] and right[j] intersect, or with
-    no ``right`` left[i] and left[j] for i != j, once each, by the scanning
-    step of Zomorodian and Edelsbrunner, "Fast software for box
-    intersections" (2000).  Over the common denominator the boxes are sorted
-    on the first coordinate, and a box is tested only against those that
-    start within its first interval: the left boxes at or after its start
-    for a right one, the others strictly after it.  In R^0 all boxes meet."""
-    d = lcm(*[e for _, _, e in left], *[e for _, _, e in right or ()])
+def _box_pairs(left: Sequence[Box], right: Sequence[Box]) -> Iterator[tuple[int, int]]:
+    """Every (i, j) whose closed boxes left[i] and right[j] intersect, once
+    each, by the scanning step of Zomorodian and Edelsbrunner, "Fast software
+    for box intersections" (2000).  Over the common denominator both lists
+    are sorted on the first coordinate, and a box is tested only against the
+    boxes of the other list that start within its first interval: the left
+    boxes at or after its start for a right one, the right boxes strictly
+    after it for a left one.  In R^0 all boxes meet."""
+    d = lcm(*[e for _, _, e in left], *[e for _, _, e in right])
 
     def scaled(boxes):  # (lo, hi, index) over d, by first start; [0], [0] in R^0
         rows = []
@@ -668,14 +668,7 @@ def _box_pairs(left: Sequence[Box], right: Sequence[Box] | None = None) -> Itera
         rows.sort(key=lambda r: r[0][0])
         return rows, [lo[0] for lo, _, _ in rows]
 
-    a, a_starts = scaled(left)
-    if right is None:  # each pair from the box that comes first
-        for p, (lo, hi, i) in enumerate(a):
-            for lo2, hi2, j in a[p + 1 : bisect_right(a_starts, hi[0])]:
-                if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):
-                    yield from ((i, j), (j, i))
-        return
-    b, b_starts = scaled(right)
+    (a, a_starts), (b, b_starts) = scaled(left), scaled(right)
     for lo, hi, j in b:
         for lo2, hi2, i in a[bisect_left(a_starts, lo[0]) : bisect_right(a_starts, hi[0])]:
             if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):

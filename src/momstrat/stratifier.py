@@ -199,9 +199,9 @@ def verify_frontier(s: Stratification) -> FrontierReport:
     violations = []
     boxes = [_box_union([c.bbox for c in st.cells]) for st in s.strata]
     table = _SignTable(c for st in s.strata for c in st.cells)
-    for u, l in sorted(_box_pairs(boxes)):
+    for u, l in sorted(_box_pairs(boxes, boxes)):
         up, lo = s.strata[u], s.strata[l]
-        if not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
+        if u == l or not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
             continue
         if lo.dim >= up.dim:
             violations.append(FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension"))

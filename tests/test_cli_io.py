@@ -393,11 +393,15 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
 def test_malformed_seed_env_exits_2_without_traceback():
     argv = [sys.executable, "-m", "momstrat.cli", "dh", str(INPUTS / "simplex_sum.json")]
-    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "STRATA_SEED": "abc"})
+    env = {**os.environ, "STRATA_SEED": "abc"}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "parse error: STRATA_SEED is not an integer: 'abc'\n"
     assert proc.stdout == ""
+    # an explicit --seed never reads the variable
+    proc = subprocess.run([*argv, "--seed", "0"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == "" and proc.stdout, proc.stderr
 
 
 def _square_spec(normal=(1, 0), offset="1", matrix=((1, 0), (0, 1))):

@@ -163,13 +163,10 @@ def box_families(draw):
 @given(box_families())
 def test_box_pairs_match_all_pairs(families):
     left, right = families
-    bipartite, within = list(_box_pairs(left, right)), list(_box_pairs(left))
-    assert len(bipartite) == len(set(bipartite)) and len(within) == len(set(within))
-    assert set(bipartite) == {
+    pairs = list(_box_pairs(left, right))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {
         (i, j) for i, b1 in enumerate(left) for j, b2 in enumerate(right) if not _bbox_disjoint(b1, b2)
-    }
-    assert set(within) == {
-        (i, j) for i, b1 in enumerate(left) for j, b2 in enumerate(left) if i != j and not _bbox_disjoint(b1, b2)
     }
 
 
@@ -177,9 +174,9 @@ def test_box_pairs_on_touching_faces_points_and_r0():
     square = ((0, 0), (1, 1), 1)
     touching, point_beyond = ((2, 1), (4, 3), 2), ((3, 0), (3, 0), 2)  # [1, 2] x [1/2, 3/2]; (3/2, 0)
     assert list(_box_pairs([square], [touching, point_beyond])) == [(0, 0)]
-    assert sorted(_box_pairs([square, touching, point_beyond])) == [(0, 1), (1, 0)]
+    boxes = [square, touching, point_beyond]
+    assert sorted(_box_pairs(boxes, boxes)) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
     assert sorted(_box_pairs([((), (), 1)] * 2, [((), (), 3)])) == [(0, 0), (1, 0)]
-    assert sorted(_box_pairs([((), (), 1)] * 2)) == [(0, 1), (1, 0)]
 
 
 @SETTINGS
