@@ -44,13 +44,15 @@ class PiecewiseAffineCover(FrozenValue):
         and of those inside its closure (bit j for ``pieces[j]``).  A piece's
         sample point is tested only against the members whose box holds it:
         the box sweep ``_box_pairs`` pairs the member boxes with the sample
-        points, read as boxes of one point."""
+        points, read as boxes of one point, and each pair is classified by one
+        ``_worst_excess``."""
         inside, closure = [0] * len(self.members), [0] * len(self.members)
         samples = [p._int_sample for p in self.pieces]
         for i, j in _box_pairs([c.bbox for c in self.members], [(n, n, e) for n, e in samples]):
-            if self.members[i]._holds(samples[j], strict=False):
+            worst = self.members[i]._worst_excess(samples[j])
+            if worst is not None and worst <= 0:
                 closure[i] |= 1 << j
-                if self.members[i]._holds(samples[j], strict=True):
+                if worst < 0:
                     inside[i] |= 1 << j
         return tuple(zip(inside, closure))
 

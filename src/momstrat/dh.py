@@ -30,9 +30,15 @@ fan from the least vertex of a face over its facets that miss it is recursed
 into down to single vertices; only the resulting d-simplices touch
 coordinates, one exact determinant each.
 
-On each top-dimensional stratum the density is
-a polynomial of total degree at most n-k, recovered by exact interpolation
-and re-verified on held-out points.
+On a chamber, a top-dimensional stratum, the charts over x stay the same, so
+do their tight sets and the fan, and every fiber vertex is affine in x.  The
+density is therefore sum_s sign(s) det(v_i(x) - v_0(x) : i in s) / d! over
+the fan's simplices s: a polynomial of total degree at most n-k read off one
+triangulation, the chamber-complex view of Brion and Vergne (1997).  The
+determinants are taken division free over Z[x], on one common denominator,
+each sign is read at the point the fan was built over, and the polynomial is
+re-verified by exact equality against the per-point fiber volume on held-out
+points.
 
 The Monte-Carlo estimator at the bottom is the only floating-point code in
 the package outside SVG coordinate formatting; it exists purely as an
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -62,13 +69,11 @@ from .linalg import (
     Vec,
     det,
     dot,
-    mat,
-    rank,
     solve,
     sub,
     vec,
 )
-from .polyhedron import Functional, _facets, enumerate_vertices
+from .polyhedron import Functional, _facets, _int_points, enumerate_vertices
 from .stratifier import Stratification
 from .toric import ToricAction
 
@@ -154,45 +159,126 @@ def polytope_volume(tight: Sequence[int], verts: list[Vec], d: int) -> Fraction:
     return total / math.factorial(d)
 
 
-def fiber_volume(a: ToricAction, x) -> FiberVolume:
-    """Lattice-normalized exact volume of the momentum fiber over x.
-
-    The vertices come from the action's fiber charts, one per face whose
-    projected relative interior contains x; a polytope row is tight at a
-    vertex exactly when it is active on that vertex's face.
-    """
-    point = _fiber_point(a, x)
+def _fiber_at(a: ToricAction, point: Vec) -> tuple[list, list[int]]:
+    """The charts of the fiber vertices over the point and, per polytope row,
+    the vertices it is tight at as a bit set: a row is tight at a vertex
+    exactly when it is active on that vertex's face."""
     hits = a.fiber_charts.over(point)
     if not hits:
-        raise EmptyFiber(f"fiber over {x} is empty")
+        raise EmptyFiber(f"fiber over {point} is empty")
     tight = [0] * len(a.polytope.A)
     for j, chart in enumerate(hits):
         for i in chart.active_set:
             tight[i] |= 1 << j
+    return hits, tight
+
+
+def fiber_volume(a: ToricAction, x) -> FiberVolume:
+    """Lattice-normalized exact volume of the momentum fiber over x.
+
+    The vertices come from the action's fiber charts, one per face whose
+    projected relative interior contains x (``_fiber_at``).
+    """
+    point = _fiber_point(a, x)
+    hits, tight = _fiber_at(a, point)
     verts = [chart.vertex(point) for chart in hits]
     return FiberVolume(point, polytope_volume(tight, verts, a.n - a.k))
 
 
 # ---------------------------------------------------------------------------
-# density polynomials by exact interpolation
-
-
-def _monomials(k: int, max_degree: int) -> list[tuple[int, ...]]:
-    out = [
-        e
-        for e in itertools.product(range(max_degree + 1), repeat=k)
-        if sum(e) <= max_degree
-    ]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+# density polynomials from the chamber's fan
+#
+# A polynomial over Q[x_1..x_k] of total degree <= d is held as a dict from
+# packed monomials to integer coefficients over a denominator kept aside: the
+# monomial x^e is the integer sum of e_i * (d + 1)^i, so multiplying by x_i
+# adds (d + 1)^i and no exponent overflows into the next variable.
 
 
 def _monomial(x: Vec, expo: tuple[int, ...]) -> Fraction:
     return math.prod((xi**e for xi, e in zip(x, expo)), start=Fraction(1))
 
 
-def _monomial_row(x: Vec, monomials: list[tuple[int, ...]]) -> Vec:
-    return tuple(_monomial(x, expo) for expo in monomials)
+def _add_product(acc: dict, sign: int, affine: tuple[int, ...], poly: dict, steps: tuple[int, ...]) -> None:
+    """acc += sign * affine * poly, with ``affine`` the integer coefficients
+    of 1, x_1, ..., x_k and ``steps`` their packed monomials."""
+    for key, c in poly.items():
+        c *= sign
+        for step, f in zip(steps, affine):
+            if f:
+                acc[key + step] = acc.get(key + step, 0) + f * c
+
+
+def _fan_determinants(rows: list, simplices: list[tuple[int, ...]], d: int, steps: tuple[int, ...]) -> list[dict]:
+    """det(rows[s_1], ..., rows[s_d]) over Z[x] for each simplex (0, s_1, ...,
+    s_d), division free: the minors of the first r rows, one per column set
+    (a bit set), come by cofactor expansion along row r from those of the
+    first r - 1, and are shared by the simplices with the same first r rows,
+    as the fan's recursion makes many."""
+    layers: dict[tuple[int, ...], dict[int, dict]] = {(): {0: {0: 1}}}
+    full = (1 << d) - 1
+    # the column sets of the r-row minors; only the full one for r = d
+    column_sets = [[sum(1 << j for j in c) for c in itertools.combinations(range(d), r)] for r in range(d)]
+    column_sets.append([full])
+    out = []
+    for simplex in simplices:
+        for r in range(1, d + 1):
+            prefix = simplex[1 : r + 1]
+            if prefix in layers:
+                continue
+            prev, row = layers[prefix[:-1]], rows[prefix[-1]]
+            layer = {}
+            for cols in column_sets[r]:
+                acc: dict = {}
+                for j in range(d):
+                    if cols >> j & 1:
+                        # the cofactor sign of entry (r - 1, j) of the minor on ``cols``
+                        parity = r - 1 + (cols & ((1 << j) - 1)).bit_count()
+                        _add_product(acc, -1 if parity & 1 else 1, row[j], prev[cols & ~(1 << j)], steps)
+                layer[cols] = acc
+            layers[prefix] = layer
+        out.append(layers[simplex[1:]][full])
+    return out
+
+
+def _fan_density(a: ToricAction, stratum_id: int, x0: Vec) -> tuple[dict, int]:
+    """The fiber volume as a polynomial in x on the chamber through x0, as
+    (packed integer coefficients, denominator).
+
+    The charts over x0 and their fan stay fixed on the chamber, and every
+    fan simplex starts at vertex 0, so the volume is the sum over the fan of
+    sign(s) * det(v_i(x) - v_0(x) : i in s, i != 0) / d!, the rows affine in
+    x and each sign read at x0.
+    """
+    d, k = a.n - a.k, a.k
+    hits, tight = _fiber_at(a, x0)
+    if d == 0:
+        return {0: 1}, 1  # the fiber is a point, of volume 1 as in polytope_volume
+    simplices = _incidence_fan(list(set(tight)), (1 << len(hits)) - 1, {})
+    if len(simplices[0]) <= d:
+        return {}, 1  # the fiber is flat; polytope_volume reads zero too
+    # coordinate c of vertex j is (w[0] + w[1:].x) / den for w = num[j * d + c]
+    num, den = _int_points((o, *lin) for h in hits for o, lin in zip(h.offset, h.linear))
+    rows = [[tuple(map(operator.sub, w, w0)) for w, w0 in zip(num[j : j + d], num)] for j in range(0, len(num), d)]
+    steps = (0, *((d + 1) ** i for i in range(k)))
+    (n0,), q = _int_points((x0,))
+    values: dict[int, int] = {}  # q^d * (the packed monomial at x0)
+    total: dict[int, int] = {}
+    for simplex, poly in zip(simplices, _fan_determinants(rows, simplices, d, steps)):
+        for key in poly.keys() - values.keys():
+            e = _unpack(key, d, k)
+            values[key] = math.prod(map(pow, n0, e)) * q ** (d - sum(e))
+        sign = sum(c * values[key] for key, c in poly.items())
+        if sign == 0:
+            raise InterpolationInconsistent(
+                f"stratum {stratum_id}: the fan simplex {simplex} of the fiber over {x0} is flat"
+            )
+        for key, c in poly.items():
+            total[key] = total.get(key, 0) + (c if sign > 0 else -c)
+    return total, den**d * math.factorial(d)
+
+
+def _unpack(key: int, d: int, k: int) -> tuple[int, ...]:
+    return tuple(key // (d + 1) ** i % (d + 1) for i in range(k))
 
 
 def _stratum_point_stream(stratum, seed: int):
@@ -209,9 +295,10 @@ def _stratum_point_stream(stratum, seed: int):
 def density_polynomial(
     a: ToricAction, s: Stratification, stratum_id: int, seed: int = 0
 ) -> DensityPoly:
-    """The unique polynomial of degree <= n-k matching fiber volumes on the
-    stratum, interpolated on affinely generic points and verified on held-out
-    interior points (exact equality required).
+    """The fiber volume on a chamber as a polynomial of degree <= n-k, read
+    off the fan of the fiber over the chamber's first stream point
+    (``_fan_density``) and verified, by exact equality, against the
+    independent ``fiber_volume`` at max(k + 1, 3) further interior points.
 
     For k = 0 the stratum is the one point of R^0, so there is no held-out
     point: the density is the constant fiber volume there."""
@@ -220,44 +307,26 @@ def density_polynomial(
         raise NotTopDimensional(
             f"stratum {stratum_id} has dimension {stratum.dim}, expected {a.k}"
         )
-    monomials = _monomials(a.k, a.n - a.k)
-    m = len(monomials)
     stream = _stratum_point_stream(stratum, seed + 7919 * stratum_id)
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    used: set[Vec] = set()
-    # grow an invertible interpolation system, rejecting rank-neutral points
-    while len(rows) < m:
-        x = next(stream)
-        if x in used:
-            continue
-        candidate = rows + [_monomial_row(x, monomials)]
-        if rank(mat(candidate)) == len(candidate):
-            rows.append(candidate[-1])
-            rhs.append(fiber_volume(a, x).volume)
-            used.add(x)
-    coeffs = solve(mat(rows), vec(rhs))
-    if coeffs is None:
-        raise InterpolationInconsistent(
-            f"stratum {stratum_id}: the interpolation system has no solution"
-        )
-    poly = DensityPoly(
-        stratum_id,
-        tuple((e, c) for e, c in zip(monomials, coeffs) if c != 0),
-        max((sum(e) for e, c in zip(monomials, coeffs) if c != 0), default=0),
+    x0 = next(stream)
+    total, den = _fan_density(a, stratum_id, x0)
+    d = a.n - a.k
+    terms = sorted(
+        ((_unpack(key, d, a.k), Fraction(c, den)) for key, c in total.items() if c),
+        key=lambda t: (sum(t[0]), t[0]),
     )
+    poly = DensityPoly(stratum_id, tuple(terms), max((sum(e) for e, _ in terms), default=0))
     holdout = max(a.k + 1, 3) if a.k else 0
-    checked = 0
-    while checked < holdout:
+    used = {x0}
+    while len(used) <= holdout:
         x = next(stream)
         if x in used:
             continue
         used.add(x)
         if poly.evaluate(x) != fiber_volume(a, x).volume:
             raise InterpolationInconsistent(
-                f"held-out point {x} disagrees with the interpolated density"
+                f"stratum {stratum_id}: held-out point {x} disagrees with the fan density"
             )
-        checked += 1
     return poly
 
 

@@ -58,7 +58,10 @@ class NotTopDimensional(MomstratError):
 
 
 class InterpolationInconsistent(MomstratError):
-    """Held-out check of an interpolated density polynomial failed."""
+    """A chamber density failed an exact check: a simplex of its fan is flat
+    at the point the fan was built over, or the polynomial disagrees with the
+    per-point fiber volume at a held-out point.  The message names the
+    stratum and the point."""
 
 
 class ParseError(MomstratError):

@@ -456,6 +456,22 @@ class RelOpenCell(FrozenValue):
             and all(_excess(r, n, d) < cap for r in self._int_facet_rows)
         )
 
+    def _worst_excess(self, x: IntPoint) -> int | None:
+        """None when x is off the carrier, else the largest facet-row excess
+        at x (-1 with no facet rows), or the first positive one: at most 0 in
+        the closure, below 0 in the relative interior.  Unlike ``_holds`` it
+        takes no box test."""
+        n, d = x
+        if any(_excess(r, n, d) for r in self._int_equations):
+            return None
+        worst = -1
+        for r in self._int_facet_rows:
+            e = _excess(r, n, d)
+            if e > 0:
+                return e
+            worst = max(worst, e)
+        return worst
+
     def closure_contains(self, x: Vec) -> bool:
         return self._holds(self._int_point(x), strict=False)
 
@@ -470,16 +486,16 @@ class RelOpenCell(FrozenValue):
         return self._holds(self._int_point(x), strict=True)
 
     def interior_points(self, count: int, rng) -> list[Vec]:
-        """Deterministic rational points in the cell: positive vertex mixes."""
+        """Deterministic rational points in the cell: positive vertex mixes
+        sum(w_i v_i) / sum(w_i) with integer weights w_i in [1, 64], summed
+        over the vertices' common denominator and divided once."""
         pts = []
-        verts = self.closure_vertices
+        nums, d = self._int_vertices
+        cols = list(zip(*nums))
         for _ in range(count):
-            weights = [Fraction(1 + rng.randrange(64)) for _ in verts]
-            total = sum(weights)
-            x = zeros(self.ambient_dim)
-            for w, v in zip(weights, verts):
-                x = add(x, scale(v, w / total))
-            pts.append(x)
+            weights = [1 + rng.randrange(64) for _ in nums]
+            total = d * sum(weights)
+            pts.append(tuple(Fraction(sum(map(mul, weights, col)), total) for col in cols))
         return pts
 
 

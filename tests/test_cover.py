@@ -247,18 +247,38 @@ def test_incidence_tests_only_members_whose_box_holds_the_sample(monkeypatch):
                 if all(Fraction(l, d) <= c <= Fraction(h, d) for l, c, h in zip(lo, x, hi)):
                     expected[id(m), n, e] += 1
         tested = Counter()
-        original = RelOpenCell._holds
+        original = RelOpenCell._worst_excess
 
-        def counted(cell, point, strict):
-            if not strict:
-                tested[id(cell), *point] += 1
-            return original(cell, point, strict)
+        def counted(cell, point):
+            tested[id(cell), *point] += 1
+            return original(cell, point)
 
         with monkeypatch.context() as m:
-            m.setattr(RelOpenCell, "_holds", counted)
+            m.setattr(RelOpenCell, "_worst_excess", counted)
             table = cover.incidence
         assert tested == expected
         assert table == reference
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(product_actions())
+@example(large_product_action())
+def test_interior_points_equal_the_vertex_mix_in_fractions(action):
+    """``interior_points`` sums integer numerators once per coordinate; its
+    points equal the mixes sum((w_i / W) v_i) formed vertex by vertex in
+    ``Fraction`` arithmetic, with the same weights drawn from the rng."""
+    cells = list(action.cover.members) + list(action.cover.pieces)
+    got_rng, ref_rng = random.Random(11), random.Random(11)
+    for cell in cells:
+        expected = []
+        for _ in range(3):
+            weights = [Fraction(1 + ref_rng.randrange(64)) for _ in cell.closure_vertices]
+            total = sum(weights)
+            x = [Fraction(0)] * cell.ambient_dim
+            for w, v in zip(weights, cell.closure_vertices):
+                x = [c + w / total * vc for c, vc in zip(x, v)]
+            expected.append(tuple(x))
+        assert cell.interior_points(3, got_rng) == expected
 
 
 def _text(v):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from support import (
 )
 
 F = Fraction
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def test_fiber_volume_paper_interval():
@@ -165,19 +167,80 @@ def test_polytope_volume_flat_box_is_zero():
     assert polytope_volume(tight_sets(rows, verts), verts, 3) == 0
 
 
-def test_density_polynomial_unsolvable_system_is_typed(monkeypatch):
+def _wrong_volume(monkeypatch):
+    """Patch ``dh.fiber_volume`` to report one more than the true volume, and
+    return the list the points it was asked about are appended to."""
+    real, asked = dh.fiber_volume, []
+
+    def wrong(a, x):
+        asked.append(vec(x))
+        got = real(a, x)
+        return got._replace(volume=got.volume + 1)
+
+    monkeypatch.setattr(dh, "fiber_volume", wrong)
+    return asked
+
+
+def test_density_polynomial_wrong_held_out_volume_is_typed(monkeypatch):
     a = paper_action()
     s = hamiltonian_stratification(a)
     top = [st for st in s.strata if st.dim == 2][0]
-    real_solve = dh.solve
-
-    def solve_without_interpolation(m, b):
-        # the interpolation system is square; the paper projection is 2 x 3
-        return None if len(m) == len(m[0]) else real_solve(m, b)
-
-    monkeypatch.setattr(dh, "solve", solve_without_interpolation)
-    with pytest.raises(InterpolationInconsistent, match=f"stratum {top.id}"):
+    asked = _wrong_volume(monkeypatch)
+    with pytest.raises(InterpolationInconsistent) as err:
         density_polynomial(a, s, top.id)
+    assert len(asked) == 1  # the first held-out point already disagrees
+    assert f"stratum {top.id}" in str(err.value)
+    assert f"held-out point {asked[0]}" in str(err.value)
+
+
+def test_cli_wrong_held_out_volume_exits_5(monkeypatch, capsys):
+    from momstrat.cli import main
+
+    _wrong_volume(monkeypatch)
+    assert main(["dh", str(INPUTS / "paper_cp1xcp2.json"), "--seed", "0"]) == 5
+    err = capsys.readouterr().err
+    assert "stratum" in err and "held-out point" in err and "Traceback" not in err
+
+
+def test_density_polynomial_flat_fan_simplex_is_typed(monkeypatch):
+    # a fan simplex whose determinant vanishes at the base point is an error,
+    # never a simplex silently dropped from the sum
+    a = paper_action()
+    s = hamiltonian_stratification(a)
+    top = [st for st in s.strata if st.dim == 2][0]
+    real = dh._fan_determinants
+    monkeypatch.setattr(dh, "_fan_determinants", lambda *args: [{}] + real(*args)[1:])
+    with pytest.raises(InterpolationInconsistent, match=f"stratum {top.id}: the fan simplex .* is flat"):
+        density_polynomial(a, s, top.id)
+
+
+def test_fan_is_constant_on_every_chamber_and_held_out_count(monkeypatch):
+    """The fan density rests on local triviality: the charts over x, hence
+    their active sets and the fan, are the same at the sample point of every
+    cell of a chamber.  Each chamber density costs exactly max(k + 1, 3)
+    independent fiber volumes, its held-out checks."""
+    real, calls = dh.fiber_volume, []
+
+    def counted(a, x):
+        calls.append(x)
+        return real(a, x)
+
+    monkeypatch.setattr(dh, "fiber_volume", counted)
+    chambers = 0
+    for a in (paper_action(), *corpus()):
+        s = stratification_for(a)
+        for st in s.strata:
+            if st.dim != a.k:
+                continue
+            active = {
+                tuple(c.active_set for c in a.fiber_charts.over(cell.sample_point())) for cell in st.cells
+            }
+            assert len(active) == 1, (a.name, st.id)
+            calls.clear()
+            density_polynomial(a, s, st.id)
+            assert len(calls) == max(a.k + 1, 3), (a.name, st.id)
+            chambers += 1
+    assert chambers > 200
 
 
 def _chamber_with_sample(s, predicate):
