@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -67,14 +66,13 @@ from .linalg import (
     AffineSubspace,
     Mat,
     Vec,
-    det,
+    _eliminate,
     dot,
     solve,
-    sub,
     vec,
 )
 from .polyhedron import Functional, _facets, _int_points, enumerate_vertices
-from .stratifier import Stratification
+from .stratifier import Stratification, _stratum_point_stream
 from .toric import ToricAction
 
 
@@ -92,6 +90,10 @@ class DensityPoly(NamedTuple):
 
     def evaluate(self, x) -> Fraction:
         point = vec(x)
+        if any(len(e) != len(point) for e, _ in self.coefficients):
+            raise DimensionMismatch(
+                f"stratum {self.stratum_id}: a point with {len(point)} coordinates does not fit the density's exponents"
+            )
         return sum((c * _monomial(point, e) for e, c in self.coefficients), ZERO)
 
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
@@ -145,18 +147,24 @@ def polytope_volume(tight: Sequence[int], verts: list[Vec], d: int) -> Fraction:
     ``tight`` holds, for each of a set of valid inequalities of conv(verts)
     among which every facet appears (redundant and repeated ones are
     harmless), the vertices at which it is tight as a bit set -- e.g.
-    ``tight_sets(rows, verts)`` for the H-rows the vertices came from.
+    ``tight_sets(rows, verts)`` for the H-rows the vertices came from.  The
+    vertices go over one denominator den once; the absolute last pivots of
+    the simplices' integer edge rows (``linalg._eliminate``) are summed and
+    divided by den^d * d!.
     """
     if d == 0:
         return Fraction(1)
     simplices = _incidence_fan(list(set(tight)), (1 << len(verts)) - 1, {})
     if len(simplices[0]) <= d:
         return ZERO  # the fan of an e-polytope is made of (e+1)-vertex simplices
-    total = ZERO
+    nums, den = _int_points(verts)
+    total = 0
     for simplex in simplices:
-        v0 = verts[simplex[0]]
-        total += abs(det([sub(verts[i], v0) for i in simplex[1:]]))
-    return total / math.factorial(d)
+        v0 = nums[simplex[0]]
+        _, pivots, last = _eliminate([list(map(operator.sub, nums[i], v0)) for i in simplex[1:]])
+        if len(pivots) == d:
+            total += abs(last)
+    return Fraction(total, den**d * math.factorial(d))
 
 
 def _fiber_at(a: ToricAction, point: Vec) -> tuple[list, list[int]]:
@@ -279,17 +287,6 @@ def _fan_density(a: ToricAction, stratum_id: int, x0: Vec) -> tuple[dict, int]:
 
 def _unpack(key: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(key // (d + 1) ** i % (d + 1) for i in range(k))
-
-
-def _stratum_point_stream(stratum, seed: int):
-    """Deterministic stream of rational interior points of the stratum."""
-    rng = random.Random(seed)
-    cells = list(stratum.cells)
-    i = 0
-    while True:
-        cell = cells[i % len(cells)]
-        yield cell.interior_points(1, rng)[0]
-        i += 1
 
 
 def density_polynomial(

@@ -35,16 +35,19 @@ This module alone decides cell membership:
 
 - is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
   and ``RelOpenCell.closure_contains``, from the cached ambient rows;
-- does a cell lie in another's closure?  The refinement and the frontier
-  check read it off their sign tables (``_SignTable.within``), the
-  stratifier off the closure's faces (``_face_sets``); ``_within_closure``,
-  from the closure vertices, serves where a face of a closure is no piece;
+- does a cell lie in another's closure?  One test, ``_SignTable.within``:
+  the refinement and the frontier check read it off the sign tables they
+  build, and the stratifier, which reads containment off the closures'
+  faces (``_face_sets``), builds a table over the pieces where a face of a
+  closure is no piece;
 - which hyperplane of a family of cells separates two cells?  A
-  ``_SignTable`` over the family: per cell, bit sets of the family's
-  hyperplanes that its closure lies below, above or off, worked out once, so
-  that each pair is a few bit operations.  The refinement builds one over
-  its members and closure faces, the frontier check one over the
-  stratification's cells; a table lives for that one call;
+  ``_SignTable`` over the family.  It signs each distinct closure vertex
+  once, as the bit sets of the family's hyperplanes it lies weakly below
+  and weakly above, and a cell's bit sets (the hyperplanes its closure lies
+  below, above or off) are ANDs and ORs of its vertices' sets, so that each
+  pair is a few bit operations.  The refinement builds one over its members
+  and closure faces, the frontier check one over the stratification's
+  cells; a table lives for that one call;
 - which boxes meet?  One sweep, ``_box_pairs``, pairs the cover's members
   with the pieces' sample points (``incidence``), the refinement's objects
   with its pieces, and the frontier check's strata with each other;
@@ -68,8 +71,8 @@ these forms beside its ``Fraction`` data (``_int_equations``,
 vertices' denominator, so a box test is one cross-multiplication per
 coordinate), and ``_int_sample``, the sample point in integer form, which
 the point tests of ``meets``, ``uncovered_point`` and the cover's incidence
-table share.  They serve the point tests, the box tests, ``_within_closure``,
-the sign tables, every tight set and the dedup of the refinement's pieces.
+table share.  They serve the point tests, the box tests, the sign tables,
+every tight set and the dedup of the refinement's pieces.
 Crossing points, carriers, cuts, local rows and their lifts (once per cell,
 or inherited by a split's sides) and everything returned stay ``Fraction``;
 the tight-basis scan converts only the vertices and the facet rows it returns.
@@ -449,18 +452,18 @@ class RelOpenCell(FrozenValue):
         """x lies on the carrier and inside every facet row, strictly when
         ``strict``: in the relative interior, or else in the closure."""
         (n, d), (lo, hi, e) = x, self.bbox
-        cap = 0 if strict else 1  # excesses are integers: v <= 0 is v < 1
-        return (
-            all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi))
-            and not any(_excess(r, n, d) for r in self._int_equations)
-            and all(_excess(r, n, d) < cap for r in self._int_facet_rows)
-        )
+        if not all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi)):
+            return False
+        worst = self._worst_excess(x)
+        return worst is not None and worst < (0 if strict else 1)  # excesses are integers
 
     def _worst_excess(self, x: IntPoint) -> int | None:
         """None when x is off the carrier, else the largest facet-row excess
         at x (-1 with no facet rows), or the first positive one: at most 0 in
-        the closure, below 0 in the relative interior.  Unlike ``_holds`` it
-        takes no box test."""
+        the closure, below 0 in the relative interior.  The one kernel of
+        every point test: ``_holds`` reads it after its box test, and the
+        cover's incidence table, whose box sweep has tested the boxes, reads
+        it alone."""
         n, d = x
         if any(_excess(r, n, d) for r in self._int_equations):
             return None
@@ -705,16 +708,6 @@ def _box_union(boxes: Sequence[Box]) -> Box:
     return tuple(map(min, zip(*lo))), tuple(map(max, zip(*hi))), d
 
 
-def _within_closure(x: RelOpenCell, obj: RelOpenCell) -> bool:
-    """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj), after the boxes."""
-    (lo1, hi1, d1), (lo2, hi2, d2), verts = x.bbox, obj.bbox, x._int_vertices
-    return (
-        all(l2 * d1 <= l1 * d2 and h1 * d2 <= h2 * d1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-        and not any(any(_excesses(r, verts)) for r in obj._int_equations)
-        and all(max(_excesses(r, verts)) <= 0 for r in obj._int_facet_rows)
-    )
-
-
 class _SignTable:
     """The sides of cell closures against the hyperplanes of a family of
     cells, as bit sets: the covectors of the family's arrangement (Björner,
@@ -727,14 +720,21 @@ class _SignTable:
     keys, read off its closure vertices: the keys h with h <= 0 on its
     closure, with h >= 0, and with h < 0 or h > 0 on all of it; and, for the
     relatively open cell, the keys with h > 0 on it (its closure above h and
-    not on h), with h < 0, and with h = 0.  The open x misses Cl(obj) when,
+    not on h), with h < 0, and with h = 0.  Each distinct closure vertex is
+    signed once per table, as the keys with h <= 0 and with h >= 0 there,
+    evaluated on its cell's integer numerators and denominator (a positive
+    scale keeps every sign) and remembered by the vertex.  A cell's sets
+    are bit operations over its vertices: below is the AND of their h <= 0
+    sets, above the AND of their h >= 0 sets, and off is below or above
+    less the keys some vertex lies on.  The open x misses Cl(obj) when,
     for some key, Cl(obj) lies weakly on one side and x strictly on the
     other, or x lies on h and Cl(obj) off it.  When both cells are in the
     family every row of either is a key, so this finds every separation by
     one of their rows.  The same bit sets decide Cl(x) ⊆ Cl(obj) for obj in
-    the family (``within``).  Computing signs only for cells that reach a
-    test keeps small inputs cheap.  A table lives for the call that builds
-    it, and keeps the cells it has signed, so their ids stay theirs.
+    the family (``within``).  Signing only the cells that reach a test, and
+    only their vertices, keeps small inputs cheap.  A table lives for the
+    call that builds it, and keeps the cells it has signed, so their ids
+    stay theirs.
     """
 
     def __init__(self, family: Iterable[RelOpenCell]):
@@ -743,26 +743,23 @@ class _SignTable:
             for row in c._int_equations + c._int_facet_rows:
                 keys[_canon_cut(row)] = None
         self._keys = list(keys)
+        self._vertices: dict[Vec, tuple[int, int]] = {}
         self._signs: dict[int, tuple[RelOpenCell, int, int, int, int, int, int]] = {}
 
     def _sign(self, cell: RelOpenCell) -> tuple[RelOpenCell, int, int, int, int, int, int]:
+        below, above, on = -1, -1, 0  # -1 has every bit set; a cell has a vertex
         nums, d = cell._int_vertices
-        below = above = off = 0
-        bit = 1
-        for a, bn, bd in self._keys:
-            t = bn * d
-            vals = [sum(map(mul, a, n)) * bd - t for n in nums]
-            lo, hi = min(vals), max(vals)
-            if hi <= 0:
-                below |= bit
-                if hi < 0:
-                    off |= bit
-            if lo >= 0:
-                above |= bit
-                if lo > 0:
-                    off |= bit
-            bit <<= 1
-        entry = (cell, below, above, off, above & ~below, below & ~above, above & below)
+        for v, n in zip(cell.closure_vertices, nums):
+            signs = self._vertices.get(v)
+            if signs is None:  # the keys with h <= 0, and with h >= 0, at v = n / d
+                vals = list(enumerate(sum(map(mul, a, n)) * bd - bn * d for a, bn, bd in self._keys))
+                signs = sum(1 << i for i, e in vals if e <= 0), sum(1 << i for i, e in vals if e >= 0)
+                self._vertices[v] = signs
+            le, ge = signs
+            below &= le
+            above &= ge
+            on |= le & ge
+        entry = (cell, below, above, (below | above) & ~on, above & ~below, below & ~above, above & below)
         self._signs[id(cell)] = entry
         return entry
 

@@ -15,7 +15,8 @@ checks the frontier condition geometrically, on its own.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from itertools import cycle, islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCover, NonIntegrable
 from .cover import PiecewiseAffineCover, membership_signature
@@ -26,7 +27,6 @@ from .polyhedron import (
     _box_union,
     _face_sets,
     _SignTable,
-    _within_closure,
     cell_key,
     meets,
     uncovered_point,
@@ -95,8 +95,11 @@ def _holders(pieces: Sequence[RelOpenCell]) -> list[list[int]]:
     face of Cl(t), and the pieces partition the support, so when every face
     of Cl(t) is a piece those faces are all the pieces inside Cl(t): they are
     looked up by their closure vertex ids, interned once per call.  A closure
-    with a face that is no piece (the support is not closed) tests every piece.
+    with a face that is no piece (the support is not closed) tests every piece
+    on a sign table over the pieces, built on first need: exact, since the
+    closure's own rows are among its keys.
     """
+    table = None
     ids: dict[Vec, int] = {}
     vids = [[ids.setdefault(v, len(ids)) for v in p.closure_vertices] for p in pieces]
     index = {tuple(sorted(own)): i for i, own in enumerate(vids)}
@@ -104,7 +107,8 @@ def _holders(pieces: Sequence[RelOpenCell]) -> list[list[int]]:
     for t, (piece, own) in enumerate(zip(pieces, vids)):
         inside = [index.get(tuple(sorted(own[i] for i in range(len(own)) if f >> i & 1))) for f in _face_sets(piece)]
         if None in inside:
-            inside = [i for i, p in enumerate(pieces) if _within_closure(p, piece)]
+            table = table or _SignTable(pieces)
+            inside = [i for i, p in enumerate(pieces) if table.within(p, piece)]
         for i in inside:
             if i != t:
                 holders[i].append(t)
@@ -221,6 +225,14 @@ def verify_frontier(s: Stratification) -> FrontierReport:
     return FrontierReport(tuple(violations))
 
 
+def _stratum_point_stream(stratum: Stratum, seed: int) -> Iterator[Vec]:
+    """Deterministic stream of rational interior points of the stratum: one
+    point of each cell in turn, drawn by ``interior_points`` from one rng."""
+    rng = random.Random(seed)
+    for cell in cycle(stratum.cells):
+        yield cell.interior_points(1, rng)[0]
+
+
 class TangentMismatch(NamedTuple):
     stratum_id: int
     point: Vec
@@ -244,16 +256,9 @@ def verify_tangent_condition(
     the intersection of the directions of all members through the sample."""
     checked = 0
     mismatches = []
-    for stratum in s.strata:
-        rng = random.Random(0xC0FFEE + stratum.id)
-        points = [stratum.sample_point()]
-        cell_cycle = list(stratum.cells)
-        i = 0
-        while len(points) < samples_per_stratum:
-            cell = cell_cycle[i % len(cell_cycle)]
-            points.extend(cell.interior_points(1, rng))
-            i += 1
-        for x in points[:samples_per_stratum]:
+    for stratum in s.strata if samples_per_stratum > 0 else ():
+        stream = _stratum_point_stream(stratum, 0xC0FFEE + stratum.id)
+        for x in [stratum.sample_point(), *islice(stream, samples_per_stratum - 1)]:
             sig = membership_signature(c, x)
             found = direction_intersect([c.members[j].carrier for j in sig])
             checked += 1

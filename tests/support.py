@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from hypothesis import assume, strategies
 
@@ -16,8 +17,8 @@ from momstrat.polyhedron import (
     _bbox_disjoint,
     _excesses,
     _int_points,
+    _SignTable,
     _split_by,
-    _within_closure,
     cell_from_closure_points,
     cell_key,
     project_relint,
@@ -334,6 +335,39 @@ def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # the pairwise frontier check the sign table replaced, kept as a reference
+
+
+def _within_closure(x: RelOpenCell, obj: RelOpenCell) -> bool:
+    """x ⊆ Cl(obj): every closure vertex of x lies in Cl(obj), after the boxes."""
+    (lo1, hi1, d1), (lo2, hi2, d2), verts = x.bbox, obj.bbox, x._int_vertices
+    return (
+        all(l2 * d1 <= l1 * d2 and h1 * d2 <= h2 * d1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+        and not any(any(_excesses(r, verts)) for r in obj._int_equations)
+        and all(max(_excesses(r, verts)) <= 0 for r in obj._int_facet_rows)
+    )
+
+
+def per_cell_signs(table: _SignTable, cell: RelOpenCell) -> tuple[int, int, int, int, int, int]:
+    """The bit sets that ``_SignTable`` gives a cell, evaluated key by key on
+    all of the cell's closure vertices at once: below, above, off, and the
+    open cell's up, down and on."""
+    nums, d = cell._int_vertices
+    below = above = off = 0
+    bit = 1
+    for a, bn, bd in table._keys:
+        t = bn * d
+        vals = [sum(map(mul, a, n)) * bd - t for n in nums]
+        lo, hi = min(vals), max(vals)
+        if hi <= 0:
+            below |= bit
+            if hi < 0:
+                off |= bit
+        if lo >= 0:
+            above |= bit
+            if lo > 0:
+                off |= bit
+        bit <<= 1
+    return below, above, off, above & ~below, below & ~above, above & below
 
 
 def closures_separated(x: RelOpenCell, obj: RelOpenCell) -> bool:

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from momstrat import PiecewiseAffineCover, membership_signature, validate, vec
 from momstrat.cover import MemberReport, ValidationReport, refined_cells
 from momstrat.errors import DimensionMismatch, PointOutsideSupport
-from momstrat.polyhedron import RelOpenCell, _within_closure, cell_key
+from momstrat.polyhedron import RelOpenCell, cell_key
 from momstrat.toric import momentum_cover
 from support import (
+    _within_closure,
     all_pairs_incidence,
     box_cell,
     corpus,

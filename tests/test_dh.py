@@ -18,7 +18,7 @@ from momstrat import (
     vec,
 )
 from momstrat import dh
-from momstrat.dh import polytope_volume
+from momstrat.dh import DensityPoly, polytope_volume
 from momstrat.errors import DimensionMismatch, EmptyFiber, InterpolationInconsistent, NotTopDimensional
 from momstrat.linalg import dot
 from momstrat.polyhedron import enumerate_vertices, tight_sets
@@ -63,6 +63,14 @@ def test_fiber_volume_rejects_wrong_point_dimension():
 def test_mc_fiber_volume_rejects_wrong_point_dimension():
     with pytest.raises(DimensionMismatch):
         mc_fiber_volume(paper_action(), [1], 100, 0)
+
+
+def test_density_poly_rejects_wrong_point_dimension():
+    xy = DensityPoly(0, (((1, 1), F(1)),), 2)
+    assert xy.evaluate([2, 3]) == 6
+    for point in ([2], [2, 3, 5]):
+        with pytest.raises(DimensionMismatch):
+            xy.evaluate(point)
 
 
 def test_fiber_charts_match_tight_basis_enumeration():

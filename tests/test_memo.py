@@ -74,14 +74,16 @@ def test_stratify_cover_refines_once(monkeypatch):
 def test_validation_and_d_field_read_the_incidence_table(monkeypatch):
     cover = momentum_cover(paper_action())
     assert cover.pieces  # refined before counting: the refinement tests geometry itself
-    within = _count_calls(monkeypatch, polyhedron, "_within_closure")
+    signs = []
+    sign = polyhedron._SignTable._sign
+    monkeypatch.setattr(polyhedron._SignTable, "_sign", lambda table, cell: signs.append(cell) or sign(table, cell))
     signatures = _count_calls(monkeypatch, cover_module, "membership_signature")
     conversions = []
     original = RelOpenCell._int_point
     monkeypatch.setattr(RelOpenCell, "_int_point", lambda cell, x: conversions.append(x) or original(cell, x))
     assert validate(cover).valid
     assert len(compute_d_field(cover)) == len(cover.pieces)
-    assert (within, signatures, conversions) == ([], [], [])
+    assert (signs, signatures, conversions) == ([], [], [])
 
 
 def test_hamiltonian_stratification_refines_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Property tests: the integer sign kernel of ``polyhedron`` against a plain
 ``Fraction`` reference (``dot(a, x) <= b`` and box comparisons on the
-closure vertices), ``meets`` and the sign table against vertex enumeration
-and the sign table against the pairwise separation test it replaced, and
+closure vertices), ``meets`` and the sign table against vertex enumeration,
+the sign table against the pairwise separation test it replaced and its
+vertex-signed bit sets against bit sets evaluated key by key per cell, and
 the incidence routines (bit-set tight sets, face dimensions by descent, fan
 volumes) against ranks and closed forms; and the box sweep against all pairs."""
 
@@ -9,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momstrat.dh import polytope_volume
@@ -29,7 +30,16 @@ from momstrat.polyhedron import (
     tight_sets,
     vertices,
 )
-from support import closures_separated, corpus, paper_action, product_polytope, random_toric_instance
+from support import (
+    closures_separated,
+    corpus,
+    large_product_action,
+    paper_action,
+    per_cell_signs,
+    product_actions,
+    product_polytope,
+    random_toric_instance,
+)
 
 F = Fraction
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -197,6 +207,22 @@ def test_pairwise_separation_implies_sign_table_separation(x, j):
     if closures_separated(x, obj):
         assert _SignTable([x, obj]).separated(x, obj)
         assert family_table(x.ambient_dim).separated(x, obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(product_actions())
+@example(large_product_action())
+def test_vertex_signed_masks_equal_the_per_cell_signs(action):
+    """The table signs each distinct closure vertex once and forms a cell's
+    bit sets from its vertices' signs; they equal the bit sets evaluated key
+    by key on the cell's vertices, for the refinement's family and its
+    pieces, on a table over that family and on one over the pieces."""
+    members = action.cover.members
+    family = list(dict.fromkeys(members)) + closure_faces(members)
+    pieces = list(action.cover.pieces)
+    for table in (_SignTable(family), _SignTable(pieces)):
+        for cell in family + pieces:
+            assert table._sign(cell)[1:] == per_cell_signs(table, cell)
 
 
 @SETTINGS

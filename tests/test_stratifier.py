@@ -18,10 +18,11 @@ from momstrat import polyhedron, stratifier
 from momstrat.errors import InvalidCover, NonIntegrable
 from momstrat.io import parse_input_file
 from momstrat.linalg import AffineSubspace, add, identity, scale
-from momstrat.polyhedron import _SignTable, _within_closure, cell_from_closure_points, closure_faces
+from momstrat.polyhedron import _SignTable, cell_from_closure_points, closure_faces
 from momstrat.stratifier import Stratification, Stratum
 from momstrat.toric import hamiltonian_stratification, momentum_cover
 from support import (
+    _within_closure,
     all_pairs_adjacency,
     all_pairs_frontier,
     all_pairs_holders,
@@ -326,6 +327,14 @@ def test_verify_tangent_paper_and_identity():
         report = verify_tangent_condition(s, cov, samples_per_stratum=5)
         assert report.ok
         assert report.checked == 5 * len(s.strata)
+
+
+def test_verify_tangent_checks_no_point_without_samples():
+    cov = momentum_cover(paper_action())
+    s = stratify(cov)
+    for samples in (0, -3):
+        assert verify_tangent_condition(s, cov, samples_per_stratum=samples) == (0, ())
+    assert verify_tangent_condition(s, cov, samples_per_stratum=1).checked == len(s.strata)
 
 
 def test_verify_tangent_random_projected_covers():
