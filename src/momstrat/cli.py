@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--point", default=None, help="comma-separated rational coordinates")
     p.add_argument("--trials", type=int, default=100000, help="Monte-Carlo trials per point")
-    p.add_argument("--samples", type=int, default=5, help="points drawn across the chambers without --point")
+    p.add_argument("--samples", type=int, default=5, help="points per chamber, max(1, SAMPLES // chambers), without --point")
     p.set_defaults(func=cmd_oracle)
     return parser
 

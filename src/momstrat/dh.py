@@ -14,10 +14,11 @@ that point alone: when pi is injective on aff G, which forces dim G <= k.
 That point depends affinely on x while x stays in pi(relint G) -- the local
 triviality of the momentum map over each stratum, seen one vertex at a time.
 ``ToricAction.fiber_charts`` therefore holds one affine chart per such face,
-built once per action, and the vertices over x are the chart values of the
-faces whose projected relative interior contains x: one vertex per face, with
-no duplicates, and a polytope row tight at a vertex exactly when it is
-active on that vertex's face.
+as integer rows over one denominator, built once per action, and the
+vertices over x are the chart values, in integers, of the faces whose
+projected relative interior contains x: one vertex per face, with no
+duplicates, and a polytope row tight at a vertex exactly when it is active on
+that vertex's face.
 
 The volume is exact and comes from a triangulation driven by vertex-facet
 incidence (Bueler-Enge-Fukuda, "Exact volume computation for polytopes"):
@@ -71,7 +72,7 @@ from .linalg import (
     solve,
     vec,
 )
-from .polyhedron import Functional, _facets, _int_points, enumerate_vertices
+from .polyhedron import Functional, IntPoints, _facets, _int_points, enumerate_vertices
 from .stratifier import Stratification, _stratum_point_stream
 from .toric import ToricAction
 
@@ -95,12 +96,6 @@ class DensityPoly(NamedTuple):
                 f"stratum {self.stratum_id}: a point with {len(point)} coordinates does not fit the density's exponents"
             )
         return sum((c * _monomial(point, e) for e, c in self.coefficients), ZERO)
-
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        for e, c in self.coefficients:
-            if e == expo:
-                return c
-        return ZERO
 
 
 def _fiber_point(a: ToricAction, x) -> Vec:
@@ -141,23 +136,23 @@ def _incidence_fan(tight: Sequence[int], face: int, memo: dict) -> list[tuple[in
     return memo[face]
 
 
-def polytope_volume(tight: Sequence[int], verts: list[Vec], d: int) -> Fraction:
-    """Exact Euclidean d-volume of conv(verts) inside R^d.
+def polytope_volume(tight: Sequence[int], verts: IntPoints, d: int) -> Fraction:
+    """Exact Euclidean d-volume of conv(verts) inside R^d, the vertices over
+    one denominator den (``polyhedron._int_points``).
 
     ``tight`` holds, for each of a set of valid inequalities of conv(verts)
     among which every facet appears (redundant and repeated ones are
     harmless), the vertices at which it is tight as a bit set -- e.g.
     ``tight_sets(rows, verts)`` for the H-rows the vertices came from.  The
-    vertices go over one denominator den once; the absolute last pivots of
-    the simplices' integer edge rows (``linalg._eliminate``) are summed and
-    divided by den^d * d!.
+    absolute last pivots of the simplices' integer edge rows
+    (``linalg._eliminate``) are summed and divided by den^d * d!.
     """
     if d == 0:
         return Fraction(1)
-    simplices = _incidence_fan(list(set(tight)), (1 << len(verts)) - 1, {})
+    nums, den = verts
+    simplices = _incidence_fan(list(set(tight)), (1 << len(nums)) - 1, {})
     if len(simplices[0]) <= d:
         return ZERO  # the fan of an e-polytope is made of (e+1)-vertex simplices
-    nums, den = _int_points(verts)
     total = 0
     for simplex in simplices:
         v0 = nums[simplex[0]]
@@ -185,12 +180,15 @@ def fiber_volume(a: ToricAction, x) -> FiberVolume:
     """Lattice-normalized exact volume of the momentum fiber over x.
 
     The vertices come from the action's fiber charts, one per face whose
-    projected relative interior contains x (``_fiber_at``).
+    projected relative interior contains x (``_fiber_at``), evaluated at
+    x = n / q in integers over lcm(den) * q.
     """
     point = _fiber_point(a, x)
     hits, tight = _fiber_at(a, point)
-    verts = [chart.vertex(point) for chart in hits]
-    return FiberVolume(point, polytope_volume(tight, verts, a.n - a.k))
+    (n,), q = _int_points((point,))
+    m = math.lcm(*(chart.den for chart in hits))
+    verts = [[(r[0] * q + sum(map(operator.mul, r[1:], n))) * (m // c.den) for r in c.rows] for c in hits]
+    return FiberVolume(point, polytope_volume(tight, (verts, m * q), a.n - a.k))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,8 @@ def _fan_density(a: ToricAction, stratum_id: int, x0: Vec) -> tuple[dict, int]:
     if len(simplices[0]) <= d:
         return {}, 1  # the fiber is flat; polytope_volume reads zero too
     # coordinate c of vertex j is (w[0] + w[1:].x) / den for w = num[j * d + c]
-    num, den = _int_points((o, *lin) for h in hits for o, lin in zip(h.offset, h.linear))
+    den = math.lcm(*(h.den for h in hits))
+    num = [tuple(c * (den // h.den) for c in r) for h in hits for r in h.rows]
     rows = [[tuple(map(operator.sub, w, w0)) for w, w0 in zip(num[j : j + d], num)] for j in range(0, len(num), d)]
     steps = (0, *((d + 1) ** i for i in range(k)))
     (n0,), q = _int_points((x0,))

@@ -96,6 +96,8 @@ def parse_toric_spec(data: dict) -> ToricAction:
             offsets.append(_rat(ineq["offset"]))
         b = [[_int(c) for c in row] for row in data["subtorus_matrix"]]
         name = data.get("name", "")
+        if type(name) is not str:
+            raise ParseError(f"name must be a string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed toric spec: {exc}") from exc
     polytope = HPolytope.from_rows(rows, offsets)

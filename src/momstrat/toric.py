@@ -23,6 +23,8 @@ from .linalg import (
     FrozenValue,
     Mat,
     Vec,
+    _eliminate,
+    _integer_rows,
     det,
     dot,
     hnf_lattice_basis,
@@ -86,14 +88,14 @@ class ToricAction(FrozenValue):
         return transpose(self.B)
 
     @cached_property
-    def face_images(self) -> tuple[tuple[Face, RelOpenCell], ...]:
+    def face_images(self) -> tuple[tuple[RelOpenCell, tuple[Face, ...]], ...]:
         """``face_image_cells`` of this action, computed on first use."""
         return face_image_cells(self)
 
     @cached_property
     def face_isotropy(self) -> dict[Face, "IsotropyData"]:
         """``isotropy_for_face`` of every nonempty face, computed on first use."""
-        return {f: isotropy_for_face(self, f) for f, _ in self.face_images}
+        return {f: isotropy_for_face(self, f) for _, faces in self.face_images for f in faces}
 
     @cached_property
     def fiber_charts(self) -> "FiberCharts":
@@ -152,37 +154,34 @@ def isotropy_for_face(a: ToricAction, f: Face) -> IsotropyData:
     return IsotropyData(f.active_set, f.dim, iso, ann)
 
 
-def face_image_cells(a: ToricAction) -> tuple[tuple[Face, RelOpenCell], ...]:
-    """Every nonempty face paired with the projection of its relative interior.
+def face_image_cells(a: ToricAction) -> tuple[tuple[RelOpenCell, tuple[Face, ...]], ...]:
+    """The distinct projected open faces, sorted by ``cell_key``, each with
+    the nonempty faces F, in lattice order, with pi(relint F) equal to it.
 
     pi(relint F) is the relative interior of the hull of F's projected
     vertices, so the vertices are projected once and one cell is built per
     distinct set of projected vertices (``project_relint`` per face, with its
-    rank check once).  Faces with one image share one cell object, so each
-    distinct image keeps one copy of its cached data (most faces of a
-    polytope over a small torus have the same image).
+    rank check once).  The cover, the fiber charts and ``faces_through`` read
+    each image once from this table.
     """
     b_t = a.projection
     if rank(b_t) != len(b_t):
         raise RankDeficient("projection matrix must have full row rank")
     lattice = a.polytope.lattice
     images = [mat_vec(b_t, v) for v in lattice.vertex_list]
-    by_points: dict[frozenset[Vec], RelOpenCell] = {}
-    shared: dict[RelOpenCell, RelOpenCell] = {}
-    pairs = []
+    groups: dict[RelOpenCell, list[Face]] = {}
+    by_points: dict[frozenset[Vec], list[Face]] = {}  # the group of the cell the points span
     for f in lattice.nonempty_faces():
         points = frozenset(images[i] for i in f.vertex_ids)
         if points not in by_points:
-            cell = cell_from_closure_points(points)
-            by_points[points] = shared.setdefault(cell, cell)
-        pairs.append((f, by_points[points]))
-    return tuple(pairs)
+            by_points[points] = groups.setdefault(cell_from_closure_points(points), [])
+        by_points[points].append(f)
+    return tuple(sorted(((cell, tuple(faces)) for cell, faces in groups.items()), key=lambda g: cell_key(g[0])))
 
 
 def momentum_cover(a: ToricAction) -> PiecewiseAffineCover:
-    """Cover of the momentum image by projected open faces, deduplicated."""
-    dedup = {cell_key(cell): cell for _, cell in a.face_images}
-    return PiecewiseAffineCover.make([dedup[key] for key in sorted(dedup)])
+    """Cover of the momentum image by the distinct projected open faces."""
+    return PiecewiseAffineCover.make([cell for cell, _ in a.face_images])
 
 
 # The chart types are NamedTuples, as is every plain record of the package:
@@ -196,22 +195,20 @@ class FiberChart(NamedTuple):
 
     For every x in pi(relint G) the fiber over x meets aff G in a single
     point, which is a vertex of the fiber tight at exactly the rows of
-    ``active_set``.  Its kernel-lattice coordinates are affine in x:
-    t_i = offset[i] + linear[i].x.
+    ``active_set``.  Its kernel-lattice coordinates are affine in x, held as
+    integer rows over one denominator den > 0:
+    t_i = (rows[i][0] + rows[i][1:].x) / den.
     """
 
     active_set: tuple[int, ...]
-    offset: Vec
-    linear: Mat
-
-    def vertex(self, x: Vec) -> Vec:
-        return tuple(c + dot(row, x) for c, row in zip(self.offset, self.linear))
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
 
 class FiberCharts(NamedTuple):
     """The fiber over x is {p(x) + t.lattice : rows hold at t}, where p(x) is
     ``solve(a.projection, x)``.  ``cells`` pairs each projected face pi(relint G)
-    with the charts of the faces G that project onto it."""
+    with charts, in cover order, with the charts of the faces G that project onto it."""
 
     lattice: Mat
     cells: tuple[tuple[RelOpenCell, tuple[FiberChart, ...]], ...]
@@ -229,7 +226,7 @@ def fiber_vertex_charts(a: ToricAction) -> FiberCharts:
     In kernel-lattice coordinates t the fiber row of polytope row i reads
     (A_i.L).t <= b_i - A_i.p(x), with p linear in x.  The vertex on G solves
     the active rows of G, and any n - k independent ones among them give its
-    affine chart.
+    affine chart, read off their fraction-free elimination (den * RREF).
     """
     lattice = kernel_lattice(a.projection, a.n)
     d = len(lattice)
@@ -239,16 +236,17 @@ def fiber_vertex_charts(a: ToricAction) -> FiberCharts:
         tuple(dot(row, l) for l in lattice) + (beta,) + tuple(-dot(row, p) for p in p_basis)
         for row, beta in zip(a.polytope.A, a.polytope.b)
     ]
-    cells: dict[RelOpenCell, list[FiberChart]] = {}
-    for f, cell in a.face_images:
-        if cell.dim != f.dim:
-            continue
-        pick = rref(transpose(mat(rows[i][:d] for i in f.active_set)))[1] if d else []
-        red, _ = rref(mat(rows[f.active_set[i]] for i in pick))
-        offset = tuple(r[d] for r in red)
-        linear = tuple(r[d + 1 :] for r in red)
-        cells.setdefault(cell, []).append(FiberChart(f.active_set, offset, linear))
-    return FiberCharts(lattice, tuple((cell, tuple(charts)) for cell, charts in cells.items()))
+    cells = []
+    for cell, faces in a.face_images:
+        charts = []
+        for f in (f for f in faces if f.dim == cell.dim):
+            pick = rref(transpose(mat(rows[i][:d] for i in f.active_set)))[1] if d else []
+            red, _, den = _eliminate(_integer_rows([rows[f.active_set[i]] for i in pick])[0])
+            s = 1 if den > 0 else -1
+            charts.append(FiberChart(f.active_set, tuple(tuple(s * c for c in r[d:]) for r in red), s * den))
+        if charts:
+            cells.append((cell, tuple(charts)))
+    return FiberCharts(lattice, tuple(cells))
 
 
 def hamiltonian_stratification(a: ToricAction) -> Stratification:
@@ -264,18 +262,18 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
     return Stratification(strata, s.frontier, s.ambient_dim)
 
 
-def faces_through(a: ToricAction, x: Vec) -> list[tuple[Face, RelOpenCell]]:
-    point = a.face_images[0][1]._int_point(x)  # converted once, shared by every face
-    return [(f, cell) for f, cell in a.face_images if cell._holds(point, strict=True)]
+def faces_through(a: ToricAction, x: Vec) -> list[Face]:
+    """The faces whose projected open face holds x, each image tested once."""
+    point = a.face_images[0][0]._int_point(x)  # converted once, shared by every image
+    return [f for cell, faces in a.face_images if cell._holds(point, strict=True) for f in faces]
 
 
 def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:
     """Isotropy data of every face whose projected open face contains x."""
-    point = vec(x)
-    hits = faces_through(a, point)
+    hits = faces_through(a, vec(x))
     if not hits:
         raise PointOutsideImage(f"{x} is not in the momentum image")
-    return [a.face_isotropy[f] for f, _ in hits]
+    return [a.face_isotropy[f] for f in hits]
 
 
 def regular_locus(a: ToricAction, s: Stratification) -> set[int]:
@@ -286,5 +284,5 @@ def regular_locus(a: ToricAction, s: Stratification) -> set[int]:
     return {
         st.id
         for st in s.strata
-        if not any(f in singular for cell in st.cells for f, _ in faces_through(a, cell.sample_point()))
+        if not any(f in singular for cell in st.cells for f in faces_through(a, cell.sample_point()))
     }

@@ -309,14 +309,14 @@ def interior_rational_points(cell: RelOpenCell, count: int, seed: int) -> list[V
 
 
 def per_face_images(action: ToricAction) -> tuple:
-    """``face_image_cells`` face by face: ``project_relint`` of every nonempty
-    face, equal cells shared as the first one built."""
-    shared: dict = {}
-    pairs = []
-    for f in action.polytope.lattice.nonempty_faces():
-        cell = project_relint(f, action.projection)
-        pairs.append((f, shared.setdefault(cell, cell)))
-    return tuple(pairs)
+    """``face_image_cells`` face by face: every nonempty face, in lattice
+    order, with ``project_relint`` of it."""
+    return tuple((f, project_relint(f, action.projection)) for f in action.polytope.lattice.nonempty_faces())
+
+
+def chart_vertex(chart, x: Vec) -> Vec:
+    """The fiber vertex of a ``FiberChart`` at x, in ``Fraction`` arithmetic."""
+    return tuple(Fraction(r[0] + sum(map(mul, r[1:], x)), chart.den) for r in chart.rows)
 
 
 def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:

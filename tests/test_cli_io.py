@@ -546,6 +546,7 @@ def _density(*exponents):
             (),
             id="negative-exponent",
         ),
+        pytest.param("stratify", {**_square_spec(), "name": ["x"]}, (), id="spec-name-not-a-string"),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2", "--trials", "0"), id="oracle-zero-trials"),

@@ -21,8 +21,9 @@ from momstrat import dh
 from momstrat.dh import DensityPoly, polytope_volume
 from momstrat.errors import DimensionMismatch, EmptyFiber, InterpolationInconsistent, NotTopDimensional
 from momstrat.linalg import dot
-from momstrat.polyhedron import enumerate_vertices, tight_sets
+from momstrat.polyhedron import _int_points, enumerate_vertices, tight_sets
 from support import (
+    chart_vertex,
     corpus,
     paper_action,
     simplex_sum_action,
@@ -89,9 +90,9 @@ def test_fiber_charts_match_tight_basis_enumeration():
             rows, _, _ = dh._fiber_rows(a, x)
             expected = enumerate_vertices(rows, d)
             hits = a.fiber_charts.over(x)
-            assert sorted(c.vertex(x) for c in hits) == expected
+            assert sorted(chart_vertex(c, x) for c in hits) == expected
             assert hits == [c for cell, cs in a.fiber_charts.cells if cell.contains(x) for c in cs]
-            volume = polytope_volume(tight_sets(rows, expected), expected, d)
+            volume = polytope_volume(tight_sets(rows, expected), _int_points(expected), d)
             assert fiber_volume(a, x).volume == volume
             checked += 1
     assert checked > 100
@@ -104,13 +105,13 @@ def _rows(*pairs):
 def test_polytope_volume_triangulation():
     square = [vec([0, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])]
     square_rows = _rows(([-1, 0], 0), ([1, 0], 1), ([0, -1], 0), ([0, 1], 1))
-    assert polytope_volume(tight_sets(square_rows, square), square, 2) == 1
+    assert polytope_volume(tight_sets(square_rows, square), _int_points(square), 2) == 1
     simplex3 = [vec([0, 0, 0]), vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
     simplex3_rows = _rows(([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([1, 1, 1], 1))
-    assert polytope_volume(tight_sets(simplex3_rows, simplex3), simplex3, 3) == F(1, 6)
+    assert polytope_volume(tight_sets(simplex3_rows, simplex3), _int_points(simplex3), 3) == F(1, 6)
     flat = [vec([0, 0]), vec([1, 1])]
     flat_rows = _rows(([1, -1], 0), ([-1, 1], 0), ([1, 0], 1), ([-1, 0], 0))
-    assert polytope_volume(tight_sets(flat_rows, flat), flat, 2) == 0
+    assert polytope_volume(tight_sets(flat_rows, flat), _int_points(flat), 2) == 0
 
 
 def _box(lo, sides):
@@ -165,14 +166,14 @@ def _polytope_with_redundant_rows(draw):
 @given(_polytope_with_redundant_rows())
 def test_polytope_volume_closed_forms_with_redundant_rows(case):
     rows, verts, d, expected = case
-    assert polytope_volume(tight_sets(rows, verts), verts, d) == expected
+    assert polytope_volume(tight_sets(rows, verts), _int_points(verts), d) == expected
 
 
 def test_polytope_volume_flat_box_is_zero():
     rows, verts = _box([0, 1, -1], [2, 0, 3])
     assert len(set(verts)) == 4
     verts = sorted(set(verts))
-    assert polytope_volume(tight_sets(rows, verts), verts, 3) == 0
+    assert polytope_volume(tight_sets(rows, verts), _int_points(verts), 3) == 0
 
 
 def _wrong_volume(monkeypatch):

@@ -19,6 +19,7 @@ from momstrat.polyhedron import (
     _bbox_disjoint,
     _box_pairs,
     _faces_by_incidence,
+    _int_points,
     _SignTable,
     _restrict_functional,
     _split_by,
@@ -284,7 +285,7 @@ def test_polytope_volume_on_bit_set_tight_sets_matches_closed_forms(blocks):
     tight = tight_sets(zip(p.A, p.b), verts)
     assert all(type(t) is int and 0 < t < 1 << len(verts) for t in tight)
     expected = math.prod(F(c**d, math.factorial(d)) for d, c in blocks)
-    assert polytope_volume(tight, verts, sum(dims)) == expected
+    assert polytope_volume(tight, _int_points(verts), sum(dims)) == expected
 
 
 def test_known_rows_and_hyperplane_scan_build_the_same_cells():

@@ -26,6 +26,7 @@ from momstrat.errors import (
     UnboundedPolytope,
 )
 from momstrat.linalg import identity, row_space_basis
+from momstrat.polyhedron import RelOpenCell, cell_key
 from momstrat.toric import face_image_cells, faces_through, isotropy_for_face
 from support import (
     corpus,
@@ -33,6 +34,7 @@ from support import (
     mat_mul,
     paper_action,
     per_face_images,
+    random_toric_instance,
     random_unimodular,
     simplex_sum_action,
     square_identity_action,
@@ -206,17 +208,34 @@ def test_isotropy_at_outside_image():
         isotropy_at(paper_action(), [10, 10])
 
 
-def _sharing(pairs) -> list[int]:
-    """For each pair, the index of the first pair holding the same cell object."""
-    first: dict[int, int] = {}
-    return [first.setdefault(id(cell), i) for i, (_, cell) in enumerate(pairs)]
-
-
 def test_face_images_equal_per_face_projections():
     for a in (paper_action(), simplex_sum_action(), *corpus()):
-        pairs, reference = face_image_cells(a), per_face_images(a)
-        assert pairs == reference
-        assert _sharing(pairs) == _sharing(reference)
+        table, reference = face_image_cells(a), per_face_images(a)
+        assert {f: cell for cell, faces in table for f in faces} == dict(reference)
+        order = {f: i for i, (f, _) in enumerate(reference)}
+        assert all(list(faces) == sorted(faces, key=order.get) for _, faces in table)
+        cells = [cell for cell, _ in table]
+        assert len(set(cells)) == len(cells)
+        assert [cell_key(c) for c in cells] == sorted(map(cell_key, cells))
+        assert a.cover.members == tuple(cells)
+
+
+def test_faces_through_tests_each_image_once(monkeypatch):
+    a = random_toric_instance(1031)  # the standard 5-simplex over a circle
+    assert (len(a.face_images), len(a.polytope.lattice.nonempty_faces())) == (3, 63)
+    calls = []
+    original = RelOpenCell._holds
+
+    def counted(cell, point, strict):
+        calls.append(cell)
+        return original(cell, point, strict)
+
+    x = a.face_images[-1][0].sample_point()
+    with monkeypatch.context() as m:
+        m.setattr(RelOpenCell, "_holds", counted)
+        faces = faces_through(a, x)
+    assert calls == [cell for cell, _ in a.face_images]
+    assert faces == [f for cell, fs in a.face_images if cell.contains(x) for f in fs]
 
 
 def test_face_images_check_the_projection_rank():
@@ -227,9 +246,9 @@ def test_face_images_check_the_projection_rank():
 
 def test_isotropy_annihilator_equals_projected_face_direction():
     for a in (paper_action(), simplex_sum_action(), *corpus()[:6]):
-        for f, cell in face_image_cells(a):
-            data = isotropy_for_face(a, f)
-            assert data.annihilator == cell.carrier.directions
+        for cell, faces in face_image_cells(a):
+            for f in faces:
+                assert isotropy_for_face(a, f).annihilator == cell.carrier.directions
 
 
 def test_defining_property_on_corpus_sample():
