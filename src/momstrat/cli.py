@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
 )
 from .io import (
+    _rat,
     dumps,
     make_document,
     parse_document,
@@ -126,13 +127,11 @@ def cmd_oracle(args) -> int:
     for flag in ("trials", "samples"):
         if getattr(args, flag) < 1:
             raise ParseError(f"--{flag} must be positive, got {getattr(args, flag)}")
-    from .linalg import frac, vec
-
     points = []
     if args.point:
         try:
-            x = vec(frac(t) for t in args.point.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
+            x = tuple(_rat(t) for t in args.point.split(","))
+        except ParseError as exc:
             raise ParseError(f"--point is not a list of exact rationals: {exc}") from exc
         if len(x) != obj.k:
             raise ParseError(f"--point needs {obj.k} coordinates, got {len(x)}")

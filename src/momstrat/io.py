@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ from . import __version__
 from .cover import PiecewiseAffineCover, ValidationReport
 from .dh import DensityPoly
 from .errors import MomstratError, ParseError
-from .linalg import AffineSubspace, Mat, Vec, frac, mat
+from .linalg import AffineSubspace, Mat, Vec, mat
 from .polyhedron import HPolytope, RelOpenCell, cell_from_closure_points
 from .stratifier import Stratification, Stratum
 from .toric import ToricAction
@@ -43,14 +44,20 @@ def _int(x) -> int:
     return x
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits: no space, "_", point or exponent
+
+
 def _rat(x) -> Fraction:
     """An exact rational: a JSON integer or a "p/q" string."""
     if not isinstance(x, str):
         return Fraction(_int(x))
-    try:
-        return frac(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not an exact rational: {x!r}") from exc
+    m = _RATIONAL.fullmatch(x)
+    if m is not None:
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
+            pass
+    raise ParseError(f"not an exact rational: {x!r}")
 
 
 def _nonempty(items, what: str):

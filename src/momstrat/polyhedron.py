@@ -45,15 +45,18 @@ This module alone decides cell membership:
   once, as the bit sets of the family's hyperplanes it lies weakly below
   and weakly above, and a cell's bit sets (the hyperplanes its closure lies
   below, above or off) are ANDs and ORs of its vertices' sets, so that each
-  pair is a few bit operations.  The refinement builds one over its members
-  and closure faces, the frontier check one over the stratification's
-  cells; a table lives for that one call;
+  pair is a few bit operations.  The AND of the bit sets of a set of cells
+  tests all their pairs at once.  The refinement builds one over its members
+  and closure faces and signs the cells that reach a test; the frontier
+  check builds one over the stratification's cells and ANDs them by
+  stratum, so that one test rejects a stratum pair; a table lives for that
+  one call;
 - which boxes meet?  One sweep, ``_box_pairs``, pairs the cover's members
   with the pieces' sample points (``incidence``), the refinement's objects
   with its pieces, and the frontier check's strata with each other;
 - does the relatively open x meet a cell, or its closure?  ``meets``, which
-  both the refinement (after ``within``) and the frontier check call with
-  the table they built.  The refinement's pieces are plain cells with no
+  both the refinement and the frontier check call with the table they
+  built, after ``within``.  The refinement's pieces are plain cells with no
   record of their signs: ``meets`` tries the table, the boxes and x's sample
   point, then tells a piece that misses an object by splitting x by the
   object's hyperplanes (``_split_by``) and testing one sample point per piece;
@@ -731,10 +734,13 @@ class _SignTable:
     other, or x lies on h and Cl(obj) off it.  When both cells are in the
     family every row of either is a key, so this finds every separation by
     one of their rows.  The same bit sets decide Cl(x) ⊆ Cl(obj) for obj in
-    the family (``within``).  Signing only the cells that reach a test, and
-    only their vertices, keeps small inputs cheap.  A table lives for the
-    call that builds it, and keeps the cells it has signed, so their ids
-    stay theirs.
+    the family (``within``).  The AND of several cells' entries (``shared``)
+    is an entry of the same form, and ``apart`` tests two entries, so a key
+    that separates two sets of cells, such as two strata, separates each of
+    their pairs; ``separated`` is ``apart`` on two cells.  The refinement
+    signs only the cells that reach a test; the frontier check signs every
+    cell, once, to AND them by stratum.  A table lives for the call that
+    builds it, and keeps the cells it has signed, so their ids stay theirs.
     """
 
     def __init__(self, family: Iterable[RelOpenCell]):
@@ -763,11 +769,27 @@ class _SignTable:
         self._signs[id(cell)] = entry
         return entry
 
+    def shared(self, cells: Sequence[RelOpenCell]) -> tuple:
+        """The AND of the cells' entries, an entry of the same form: the keys
+        that every closure lies below, above and off, and that every open
+        cell lies above, below and on."""
+        below = above = off = up = down = on = -1
+        for c in cells:
+            _, b, a, o, u, d, n = self._signs.get(id(c)) or self._sign(c)
+            below, above, off, up, down, on = below & b, above & a, off & o, up & u, down & d, on & n
+        return cells, below, above, off, up, down, on
+
+    @staticmethod
+    def apart(x: tuple, obj: tuple) -> bool:
+        """Some key separates the open cells of the entry x from the closures
+        of the entry obj: they lie weakly on one side and the cells strictly
+        on the other, or the cells on it and the closures off it.  One key
+        does so for every pair of their cells at once."""
+        return bool(obj[1] & x[4] | obj[2] & x[5] | obj[3] & x[6])
+
     def separated(self, x: RelOpenCell, obj: RelOpenCell) -> bool:
         """Some key separates the relatively open x from Cl(obj)."""
-        _, _, _, _, x_up, x_down, x_on = self._signs.get(id(x)) or self._sign(x)
-        _, below, above, off, _, _, _ = self._signs.get(id(obj)) or self._sign(obj)
-        return bool(below & x_up | above & x_down | off & x_on)
+        return self.apart(self._signs.get(id(x)) or self._sign(x), self._signs.get(id(obj)) or self._sign(obj))
 
     def within(self, x: RelOpenCell, obj: RelOpenCell) -> bool:
         """Cl(x) ⊆ Cl(obj), for obj in the family: Cl(x) lies weakly on the

@@ -9,7 +9,10 @@ the unique partition into connected affine-open sets integrating the field.
 Which closures hold each piece is read off the pieces' face lattices
 (``_holders``), and gives the frontier too: a lower stratum lies in the
 closure of a larger one when each of its cells does.  ``verify_frontier``
-checks the frontier condition geometrically, on its own.
+checks the frontier condition geometrically, on its own, on a sign table
+over every cell: one test of two strata's ANDed bit sets rejects most pairs,
+containment on the table settles the frontier pairs, and only the rest are
+tested cell pair by cell pair.
 """
 
 from __future__ import annotations
@@ -198,22 +201,30 @@ def verify_frontier(s: Stratification) -> FrontierReport:
     """Exhaustive exact check of the frontier condition on all stratum pairs,
     independent of ``stratify``.  Only the pairs whose stratum boxes meet can
     meet; one box sweep (``_box_pairs``) yields them, and they are taken by
-    (upper, lower) position.  Cell pairs are proved disjoint, and cells
-    inside closures, by one sign table over every cell and by the boxes."""
+    (upper, lower) position.  One sign table over every cell gives each
+    stratum the AND of its cells' bit sets, and a key that separates two
+    strata's sets separates each of their cell pairs, so one test rejects
+    the pair.  A pair left whose lower cells each lie in an upper closure
+    meets, read off the same table; only the others test their cell pairs
+    (``meets``) and, when they meet, search a witness of the lower stratum
+    outside the upper closures."""
     violations = []
     boxes = [_box_union([c.bbox for c in st.cells]) for st in s.strata]
     table = _SignTable(c for st in s.strata for c in st.cells)
+    signs = [table.shared(st.cells) for st in s.strata]
     for u, l in sorted(_box_pairs(boxes, boxes)):
+        if u == l or table.apart(signs[l], signs[u]):
+            continue
         up, lo = s.strata[u], s.strata[l]
-        if u == l or not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
+        # every cell is in the table's family, so ``within`` is exact, and a
+        # lower stratum inside the upper closure meets it
+        inside = all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells)
+        if not inside and not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
             continue
         if lo.dim >= up.dim:
             violations.append(FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension"))
             continue
-        # cells of one common refinement never straddle a closure, so a
-        # per-cell containment scan on the table settles almost every
-        # pair; every cell is in the table's family, so it is exact
-        if all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells):
+        if inside:
             continue
         for sigma in lo.cells:
             witness = uncovered_point(sigma, up.cells)

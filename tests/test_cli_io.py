@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from momstrat import hamiltonian_stratification, density_polynomial
 from momstrat.cli import main
+from momstrat.errors import ParseError
 from momstrat.io import (
+    _rat,
     make_document,
     parse_document,
     parse_input_file,
@@ -571,3 +574,28 @@ def test_cli_malformed_input_exits_2_without_traceback(tmp_path, command, payloa
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error:")
+
+
+NOT_P_OVER_Q = ["1e5", "0.5", "1_000", " 3/4 ", "\u0663", "1e999999999"]
+
+
+@pytest.mark.parametrize("text", NOT_P_OVER_Q)
+def test_rational_strings_other_than_p_over_q_exit_2(tmp_path, capsys, text):
+    # "1e999999999" must be refused before any number is built: as a Fraction
+    # it is 10**999999999
+    with pytest.raises(ParseError, match="not an exact rational"):
+        _rat(text)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_square_spec(offset=text)))
+    assert run_cli("stratify", str(path)) == 2
+    path.write_text(json.dumps(_square_spec()))
+    assert run_cli("oracle", str(path), "--point", f"{text},1/2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("parse error:") for line in err)
+    assert "--point is not a list of exact rationals" in err[1]
+
+
+def test_rational_strings_in_p_over_q_form():
+    assert [_rat(t) for t in ("3/4", "-3/4", "+6/8", "007", "-0", "12")] == [
+        Fraction(3, 4), Fraction(-3, 4), Fraction(3, 4), 7, 0, 12
+    ]

@@ -30,6 +30,7 @@ from support import (
     corpus,
     hpolytope_from_points,
     large_product_action,
+    pairwise_meets,
     pairwise_verify_frontier,
     paper_action,
     point_cell,
@@ -253,12 +254,51 @@ def test_verify_frontier_matches_the_pairwise_reference():
     }
 
 
+def _assert_masks_sound(s: Stratification) -> int:
+    """Every (upper, lower) stratum pair that the ANDed sign masks reject,
+    boxes aside, has no cell pair that meets by ``pairwise_meets``, which
+    reads no sign table.  The table is built over every cell, as
+    ``verify_frontier`` builds it.  Returns the number of rejected pairs."""
+    table = _SignTable(c for st in s.strata for c in st.cells)
+    signs = [table.shared(st.cells) for st in s.strata]
+    rejected = 0
+    for u, up in enumerate(s.strata):
+        for l, lo in enumerate(s.strata):
+            if u != l and table.apart(signs[l], signs[u]):
+                rejected += 1
+                assert not any(pairwise_meets(sigma, t, closed=True) for sigma in lo.cells for t in up.cells)
+    return rejected
+
+
+def test_stratum_masks_reject_only_pairs_that_do_not_meet():
+    cases = [stratification_for(action) for action in corpus()]
+    assert sum(map(_assert_masks_sound, cases)) > 0
+    paper = stratify(momentum_cover(paper_action()))
+    assert _assert_masks_sound(paper) > 0
+    for s in [paper, *(c for c in cases[:8] if len(c.strata) < 50)]:
+        for pair in s.frontier[:: max(1, len(s.frontier) // 4)]:
+            _assert_masks_sound(_cells_moved_into_neighbour(s, pair))
+
+
+def test_verify_frontier_tests_no_cell_pair_on_valid_inputs(monkeypatch):
+    # the masks reject every pair that does not meet, and containment
+    # settles every frontier pair, so ``meets`` is never reached
+    calls = []
+    original = stratifier.meets
+    monkeypatch.setattr(stratifier, "meets", lambda *args: calls.append(args) or original(*args))
+    for action in [paper_action(), large_product_action(), *corpus()]:
+        assert verify_frontier(stratification_for(action)).ok
+    assert calls == []
+    assert not verify_frontier(_long_edge_under_chamber()).ok and calls  # the counter is live
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(product_actions())
 @example(large_product_action())
 def test_frontier_invariants_on_products_of_simplices(action):
     s = hamiltonian_stratification(action)
     assert verify_frontier(s).ok
+    _assert_masks_sound(s)
     _assert_holders_match_all_pairs(action.cover, s)
 
 
