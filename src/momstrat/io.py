@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -17,7 +16,7 @@ from . import __version__
 from .cover import PiecewiseAffineCover, ValidationReport
 from .dh import DensityPoly
 from .errors import MomstratError, ParseError
-from .linalg import AffineSubspace, Mat, Vec, mat
+from .linalg import AffineSubspace, Mat, Vec, frac, mat
 from .polyhedron import HPolytope, RelOpenCell, cell_from_closure_points
 from .stratifier import Stratification, Stratum
 from .toric import ToricAction
@@ -44,20 +43,14 @@ def _int(x) -> int:
     return x
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits: no space, "_", point or exponent
-
-
 def _rat(x) -> Fraction:
-    """An exact rational: a JSON integer or a "p/q" string."""
+    """An exact rational: a JSON integer or a "p/q" string (``frac``)."""
     if not isinstance(x, str):
         return Fraction(_int(x))
-    m = _RATIONAL.fullmatch(x)
-    if m is not None:
-        try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
-            pass
-    raise ParseError(f"not an exact rational: {x!r}")
+    try:
+        return frac(x)
+    except ValueError:
+        raise ParseError(f"not an exact rational: {x!r}") from None
 
 
 def _nonempty(items, what: str):
@@ -237,12 +230,17 @@ def _exponents(data, n: int) -> tuple[int, ...]:
     return expo
 
 
-def _j2density(data, n: int) -> DensityPoly:
-    return DensityPoly(
-        _int(data["stratum_id"]),
-        tuple((_exponents(item["exponents"], n), _rat(item["value"])) for item in data["coefficients"]),
-        _int(data["degree"]),
-    )
+def _j2density(data, n: int, stratum_id: int) -> DensityPoly:
+    """A stratum's density as ``dh`` writes it: its own stratum id, distinct
+    exponent vectors, nonzero values and the terms' largest total degree."""
+    terms = tuple((_exponents(item["exponents"], n), _rat(item["value"])) for item in data["coefficients"])
+    poly = DensityPoly(_int(data["stratum_id"]), terms, _int(data["degree"]))
+    exponents = {e for e, _ in terms}
+    if poly.stratum_id != stratum_id or len(exponents) < len(terms) or not all(c for _, c in terms):
+        raise ParseError(f"the density of stratum {stratum_id} names another, repeats exponents or has a zero value")
+    if poly.degree != max(map(sum, exponents), default=0):
+        raise ParseError(f"the density of stratum {stratum_id} has degree {poly.degree}, not that of its terms")
+    return poly
 
 
 def document_to_json(doc: StratificationDocument) -> dict:
@@ -308,7 +306,7 @@ def parse_document(raw: bytes) -> StratificationDocument:
             ids.add(st.id)
             strata.append(st)
             if "density" in entry:
-                densities[st.id] = _j2density(entry["density"], n)
+                densities[st.id] = _j2density(entry["density"], n, st.id)
         frontier = tuple(tuple(_int(i) for i in p) for p in data["frontier"])
         for pair in frontier:
             if len(pair) != 2 or not ids.issuperset(pair):

@@ -25,6 +25,7 @@ effectiveness test of a subtorus.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -40,13 +41,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")  # ASCII digits: no space, "_", point, exponent or q = 0
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction."""
+    """Coerce ints, Fractions and "p/q" strings (``_RATIONAL``) to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):  # refused before any number is built
+            raise ValueError(f"not an exact rational: {x!r}")
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 

@@ -28,8 +28,10 @@ cell's ambient facet rows and the cut.
 ``closure_faces`` gives a face the facet rows of the closure it came from,
 and a whole closure is that cell.  Only ``cell_from_closure_points`` tries
 every hyperplane through d affinely independent points.  The faces of a
-cell's closure are cells too; the refinement and frontier tests read one as
-a closed set through an explicit ``closed`` flag.
+cell's closure are cells too, and the refinement and the frontier check
+read every such object as its closure.  The open reading adds nothing: a
+cell is the whole face of its own closure, a piece that meets the cell
+meets that closure, and both readings demand the same hyperplanes.
 
 This module alone decides cell membership:
 
@@ -46,15 +48,15 @@ This module alone decides cell membership:
   and weakly above, and a cell's bit sets (the hyperplanes its closure lies
   below, above or off) are ANDs and ORs of its vertices' sets, so that each
   pair is a few bit operations.  The AND of the bit sets of a set of cells
-  tests all their pairs at once.  The refinement builds one over its members
-  and closure faces and signs the cells that reach a test; the frontier
+  tests all their pairs at once.  The refinement builds one over the closure
+  faces of its members and signs the cells that reach a test; the frontier
   check builds one over the stratification's cells and ANDs them by
   stratum, so that one test rejects a stratum pair; a table lives for that
   one call;
 - which boxes meet?  One sweep, ``_box_pairs``, pairs the cover's members
   with the pieces' sample points (``incidence``), the refinement's objects
   with its pieces, and the frontier check's strata with each other;
-- does the relatively open x meet a cell, or its closure?  ``meets``, which
+- does the relatively open x meet the closure of a cell?  ``meets``, which
   both the refinement and the frontier check call with the table they
   built, after ``within``.  The refinement's pieces are plain cells with no
   record of their signs: ``meets`` tries the table, the boxes and x's sample
@@ -662,9 +664,6 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 
 # ---------------------------------------------------------------------------
 # cell tests: meeting, constant membership, covering
-#
-# An object is a cell read either as the relatively open set it is
-# (closed=False) or as its closure (closed=True).
 
 
 def _bbox_disjoint(b1: Box, b2: Box) -> bool:
@@ -800,16 +799,17 @@ class _SignTable:
         return not (below & ~x_below or above & ~x_above)
 
 
-def meets(x: RelOpenCell, obj: RelOpenCell, closed: bool, table: _SignTable) -> bool:
-    """Does the relatively open x meet obj, read as its closure (closed=True)
-    or as the relatively open set it is?  The table and the boxes prove
+def meets(x: RelOpenCell, obj: RelOpenCell, table: _SignTable) -> bool:
+    """Does the relatively open x meet Cl(obj)?  The table and the boxes prove
     disjointness, the sample point of x a meeting; the split decides the
-    rest."""
+    rest.  Only the closure is read: x meets Cl(obj) whenever it meets obj,
+    and where the open obj matters, in the refinement, it is Cl(obj) less
+    its proper faces, which are objects there too."""
     if table.separated(x, obj) or _bbox_disjoint(x.bbox, obj.bbox):
         return False
-    if obj._holds(x._int_sample, strict=not closed):
+    if obj._holds(x._int_sample, strict=False):
         return True
-    return any(obj._holds(piece._int_sample, strict=not closed) for piece in _split_by(x, [obj]))
+    return any(obj._holds(piece._int_sample, strict=False) for piece in _split_by(x, [obj]))
 
 
 def _object_functionals(obj: RelOpenCell) -> list[Functional]:
@@ -819,8 +819,8 @@ def _object_functionals(obj: RelOpenCell) -> list[Functional]:
 
 def _split_by(x: RelOpenCell, objs: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     """x split by every defining hyperplane of the objects.  Membership in
-    each object, open or closed, is constant on every piece, so one sample
-    point per piece decides it."""
+    each object's closure is constant on every piece, so one sample point
+    per piece decides it."""
     pieces = [x]
     for cut in sorted({f for obj in objs for f in _object_functionals(obj)}):
         pieces = [sub_cell for piece in pieces for sub_cell in split_cell(piece, cut).values()]
@@ -842,17 +842,6 @@ def uncovered_point(x: RelOpenCell, closures: Sequence[RelOpenCell]) -> Vec | No
 # common refinement
 
 
-def _initial_cuts(objects: Iterable[tuple[RelOpenCell, bool]]) -> set[Functional]:
-    """Codimension-one affine hulls among the members and closure faces."""
-    cuts: set[Functional] = set()
-    for obj, closed in objects:
-        if obj.dim == obj.ambient_dim - 1:
-            cuts.update(map(_canon_cut, obj.ambient_equations))
-        if not closed and obj.dim == obj.ambient_dim:
-            cuts.update(map(_canon_cut, obj.ambient_facet_rows))
-    return cuts
-
-
 def _distinct(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
     """The cells distinct by dimension and integer closure vertices, each kept
     as first seen: overlapping cells give identical classes, and a cell that
@@ -864,9 +853,11 @@ def _distinct(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
 
 
 def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
-    """Refine the cells until membership in every cell and in every face of
-    every cell's closure is constant per piece; the pieces come sorted by
-    ``cell_key``.
+    """Refine the cells until membership in every face of every cell's
+    closure, the closures included, is constant per piece; the pieces come
+    sorted by ``cell_key``.  The objects are these closures alone: a cell is
+    its closure less the proper faces, so membership in it is constant too.
+    The first cuts are the hyperplanes of the codimension-one objects.
 
     Order invariant: the cut set grows by globally collected demands and the
     final pieces are the sign classes of that set intersected with the
@@ -874,15 +865,13 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     defining hyperplanes are already cuts is sign-determined and needs no
     geometric test.  Membership in any other object is constant on a piece
     whose box misses the object's (``_box_pairs`` leaves that pair out) and
-    on a piece inside its closure, which lies inside a facet of the open
-    object or strictly inside every facet; a piece that still meets the
-    object demands the object's hyperplanes as cuts.
+    on a piece inside it (``within``); a piece that still meets the object
+    demands the object's hyperplanes as cuts.
     """
-    objects = list(dict.fromkeys((c, False) for c in cells))
-    objects += [(face, True) for face in closure_faces(cells)]
-    obj_funcs = [frozenset(_object_functionals(obj)) for obj, _ in objects]
-    table = _SignTable(obj for obj, _ in objects)
-    cuts: set[Functional] = _initial_cuts(objects)
+    objects = closure_faces(cells)
+    obj_funcs = [frozenset(_object_functionals(obj)) for obj in objects]
+    table = _SignTable(objects)
+    cuts = {_canon_cut(e) for obj in objects if obj.dim == obj.ambient_dim - 1 for e in obj.ambient_equations}
     pieces = _distinct(cells)
     pending = sorted(cuts)
     while True:
@@ -890,9 +879,9 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
             pieces = _distinct(c for p in pieces for c in split_cell(p, cut).values())
         live = [k for k, funcs in enumerate(obj_funcs) if not funcs <= cuts]
         demanded: set[int] = set()
-        for i, j in _box_pairs([objects[k][0].bbox for k in live], [p.bbox for p in pieces]):
-            (obj, closed), x = objects[live[i]], pieces[j]
-            if live[i] not in demanded and not table.within(x, obj) and meets(x, obj, closed, table):
+        for i, j in _box_pairs([objects[k].bbox for k in live], [p.bbox for p in pieces]):
+            obj, x = objects[live[i]], pieces[j]
+            if live[i] not in demanded and not table.within(x, obj) and meets(x, obj, table):
                 demanded.add(live[i])
         new = set().union(*(obj_funcs[k] for k in demanded)) - cuts
         if not new:

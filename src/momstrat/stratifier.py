@@ -219,7 +219,7 @@ def verify_frontier(s: Stratification) -> FrontierReport:
         # every cell is in the table's family, so ``within`` is exact, and a
         # lower stratum inside the upper closure meets it
         inside = all(any(table.within(sigma, t) for t in up.cells) for sigma in lo.cells)
-        if not inside and not any(meets(sigma, t, True, table) for sigma in lo.cells for t in up.cells):
+        if not inside and not any(meets(sigma, t, table) for sigma in lo.cells for t in up.cells):
             continue
         if lo.dim >= up.dim:
             violations.append(FrontierViolation(lo.id, up.id, "closure meets a stratum of equal or larger dimension"))

@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical worked examples and the randomized toric corpus."""
+"""Shared fixtures: canonical worked examples, the randomized toric corpus and random non-toric covers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from operator import mul
 
 from hypothesis import assume, strategies
 
-from momstrat import HPolytope, ToricAction, mat, vec
+from momstrat import HPolytope, PiecewiseAffineCover, ToricAction, mat, vec
 from momstrat.linalg import AffineSubspace, Mat, Vec, dot, is_zero_vec, mat_vec, rank, row_space_basis, transpose
 from momstrat.polyhedron import (
     RelOpenCell,
@@ -212,6 +212,20 @@ def large_product_action() -> ToricAction:
 @lru_cache(maxsize=None)
 def corpus(count: int = 50, start_seed: int = 1000) -> tuple[ToricAction, ...]:
     return tuple(random_toric_instance(start_seed + i) for i in range(count))
+
+
+def random_cover(seed: int) -> PiecewiseAffineCover:
+    """A cover in R^1, R^2 or R^3 that is no momentum image: two to four
+    members, each the relative interior of the hull of one to n + 2 random
+    points with coordinates in halves between -2 and 2, so that the members
+    overlap and often share faces or lie in one another's boundary."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    members = []
+    for _ in range(rng.randint(2, 4)):
+        points = [[Fraction(rng.randint(-4, 4), 2) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        members.append(cell_from_closure_points(points))
+    return PiecewiseAffineCover.make(members)
 
 
 @lru_cache(maxsize=None)

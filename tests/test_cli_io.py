@@ -448,8 +448,11 @@ def _cell_of(stratum):
     return _paper_document()["strata"][stratum]["cells"][0]
 
 
-def _density(*exponents):
-    return {"stratum_id": 20, "degree": 1, "coefficients": [{"exponents": list(exponents), "value": "1"}]}
+def _density(*exponents, stratum_id=20, degree=1, values=("1",)):
+    """A density for the last stratum of the paper document (id 20): one
+    term per value, each with the given exponents."""
+    terms = [{"exponents": list(exponents), "value": v} for v in values]
+    return {"stratum_id": stratum_id, "degree": degree, "coefficients": terms}
 
 
 @pytest.mark.parametrize(
@@ -548,6 +551,36 @@ def _density(*exponents):
             _paper_document_with(_density(-1, 0), "strata", -1, "density"),
             (),
             id="negative-exponent",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(1, 0, stratum_id=19), "strata", -1, "density"),
+            (),
+            id="density-names-another-stratum",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(1, 0, values=("1", "2")), "strata", -1, "density"),
+            (),
+            id="density-repeated-exponents",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(1, 0, values=("0",)), "strata", -1, "density"),
+            (),
+            id="density-zero-value",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(1, 0, degree=2), "strata", -1, "density"),
+            (),
+            id="density-degree-above-its-terms",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_density(values=()), "strata", -1, "density"),
+            (),
+            id="density-degree-without-terms",
         ),
         pytest.param("stratify", {**_square_spec(), "name": ["x"]}, (), id="spec-name-not-a-string"),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),

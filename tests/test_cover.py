@@ -21,12 +21,16 @@ from support import (
     paper_action,
     point_cell,
     product_actions,
+    random_cover,
     segment_cell,
 )
 
 # SHA-256 over (cell_key, closed_A, closed_b) of every piece of the 50 corpus
 # covers, seeds 1000-1049 (1,720 pieces)
 CORPUS_PIECES_SHA256 = "6b311b3f5e222afb0cc09938450d25834af33506800633e7ec2dc31269fff46d"
+# the same over the 40 non-toric covers ``random_cover(seed)``, seeds 0-39
+# (2,461 pieces)
+RANDOM_COVER_PIECES_SHA256 = "c82dabb1b292ca011ac977a4801b92d21982cdae1e437c841f56eb055477fbc9"
 
 
 def reference_validate(c):
@@ -292,6 +296,16 @@ def test_corpus_pieces_are_pinned():
         for p in action.cover.pieces:
             digest.update(json.dumps([_text(cell_key(p)), _text(p.closed_A), _text(p.closed_b)]).encode())
     assert digest.hexdigest() == CORPUS_PIECES_SHA256
+
+
+def test_random_cover_pieces_are_pinned():
+    """Covers that are no momentum images, whose members overlap and lie in
+    each other's boundaries, pinned as the corpus pieces are."""
+    digest = hashlib.sha256()
+    for cover in map(random_cover, range(40)):
+        for p in cover.pieces:
+            digest.update(json.dumps([_text(cell_key(p)), _text(p.closed_A), _text(p.closed_b)]).encode())
+    assert digest.hexdigest() == RANDOM_COVER_PIECES_SHA256
 
 
 def test_cover_of_mixed_dimensions_rejected():

@@ -69,6 +69,17 @@ def test_exact_arithmetic_round_trip():
         assert math.gcd(abs(a.numerator), a.denominator) == 1
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e5", " 3/4 ", "1_000", "٣", "1e999999999", "1/0", "3/-4"])
+def test_vec_refuses_strings_other_than_p_over_q(text):
+    # refused before any number is built: "1e999999999" is 10**999999999
+    with pytest.raises(ValueError, match="not an exact rational"):
+        vec([text])
+
+
+def test_vec_reads_p_over_q_strings():
+    assert vec(["3/4", "-3/4", "+6/8", "007", "-0", 12, F(1, 3)]) == (F(3, 4), F(-3, 4), F(3, 4), 7, 0, 12, F(1, 3))
+
+
 def test_rref_idempotent_random():
     rng = random.Random(7)
     for _ in range(25):

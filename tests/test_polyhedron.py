@@ -299,9 +299,8 @@ def test_meets_open_cell_excludes_its_facet_hyperplane():
     # the segment {1} x [0, 1] lies in the facet line u = 1 of the box
     seg = segment_cell([1, 0], [1, 1])
     box = box_cell([[0, 0], [0, 2], [1, 0], [1, 2]])
-    table = _SignTable([seg, box])
-    assert not meets(seg, box, False, table)
-    assert meets(seg, box, True, table)
+    # ``meets`` reads the box as its closure, which holds the segment
+    assert meets(seg, box, _SignTable([seg, box]))
 
 
 def test_cell_from_closure_points_is_exact():
