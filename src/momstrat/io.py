@@ -210,6 +210,8 @@ def _j2cell(data, n: int) -> RelOpenCell:
     if not all(0 <= i < len(a) for f in excluded for i in f):
         raise ParseError(f"excluded faces {[list(f) for f in excluded]} name no row of a cell of {len(a)}")
     verts = _j2rows(_nonempty(data["closure_vertices"], "closure_vertices"), n, "closure vertex")
+    if AffineSubspace.from_points(verts) != carrier:
+        raise ParseError(f"closure vertices {_mat2j(verts)} do not span their cell's carrier")
     return RelOpenCell(carrier, a, b, excluded, verts)
 
 
@@ -303,6 +305,10 @@ def parse_document(raw: bytes) -> StratificationDocument:
                     f"stratum {st.id} has dimension {st.dim}, {len(st.direction)} direction rows,"
                     f" a carrier of dimension {st.carrier.dim} and cells of dimension up to {top}"
                 )
+            if st.direction != st.carrier.directions:
+                raise ParseError(f"stratum {st.id} has a direction other than its carrier's directions")
+            if not all(len(e) == 2 and all(0 <= i < len(st.cells) for i in e) for e in st.adjacency):
+                raise ParseError(f"stratum {st.id} has adjacency entries that are not pairs of its cells")
             ids.add(st.id)
             strata.append(st)
             if "density" in entry:

@@ -22,9 +22,8 @@ that hold on every point and are tight on a maximal set of them, so equal
 cells have bit-identical encodings whatever the candidates.  Callers pass
 the rows they already hold.  ``split_cell`` builds the two sides of a cut
 in the cell's frame: they keep its carrier, and its canonical local rows
-with their ambient lifts, and only the cut (restricted and lifted) and the
-crossing points (lifted once) are converted; the piece on the cut gets the
-cell's ambient facet rows and the cut.
+with their integer lifts, and only the cut is restricted and lifted; the
+piece on the cut gets the cell's integer facet rows and the cut.
 ``closure_faces`` gives a face the facet rows of the closure it came from,
 and a whole closure is that cell.  Only ``cell_from_closure_points`` tries
 every hyperplane through d affinely independent points.  The faces of a
@@ -36,7 +35,7 @@ meets that closure, and both readings demand the same hyperplanes.
 This module alone decides cell membership:
 
 - is the point x in the cell, or in its closure?  ``RelOpenCell.contains``
-  and ``RelOpenCell.closure_contains``, from the cached ambient rows;
+  and ``RelOpenCell.closure_contains``, from the cached integer rows;
 - does a cell lie in another's closure?  One test, ``_SignTable.within``:
   the refinement and the frontier check read it off the sign tables they
   build, and the stratifier, which reads containment off the closures'
@@ -65,27 +64,26 @@ This module alone decides cell membership:
 - is x covered by a union of closures?  ``uncovered_point`` returns a point
   of x outside all of them, or None, by the same split and sample test.
 
-The sign tests of cells run in integers.  A canonical row a.x <= beta has
-primitive integer coefficients (``_canon_row``), so it is kept as
-(a, beta_n, beta_d) with beta = beta_n / beta_d; points are kept as integer
+Every ambient row is an integer row (``IntRow``): a.x <= beta scaled by a
+positive rational to primitive integer a (``_int_row``), kept as
+(a, beta_n, beta_d) with beta = beta_n / beta_d.  Points are integer
 numerators over one common denominator d > 0.  At x = n / d the integer
 (a.n) * beta_d - beta_n * d is a.x - beta times d * beta_d > 0, so it has the
-same sign: the test is exact, with no rational normalization.  A cell caches
-these forms beside its ``Fraction`` data (``_int_equations``,
-``_int_facet_rows``, ``_int_vertices`` and ``bbox``, whose corners share the
-vertices' denominator, so a box test is one cross-multiplication per
-coordinate), and ``_int_sample``, the sample point in integer form, which
-the point tests of ``meets``, ``uncovered_point`` and the cover's incidence
-table share.  They serve the point tests, the box tests, the sign tables,
-every tight set and the dedup of the refinement's pieces.
-Crossing points, carriers, cuts, local rows and their lifts (once per cell,
-or inherited by a split's sides) and everything returned stay ``Fraction``;
-the tight-basis scan converts only the vertices and the facet rows it returns.
+same sign: the test is exact, with no rational normalization.  A cell's
+ambient rows are ``_int_equations``, from the carrier's equations, and
+``_int_facet_rows``, the lifts of its local rows (``_lift``); with their
+sign fixed (``_object_functionals``) they are the refinement's cuts and the
+sign tables' keys.  A cell also caches ``_int_vertices``, ``bbox`` (corners
+over the vertices' denominator) and ``_int_sample``.  They serve every
+point, box and sign test, every tight set, the crossing points of a split
+and the dedup of the refinement's pieces.  ``Fraction`` stays only where a
+value is output or canonical: carriers, local facet rows (``closed_A``,
+``closed_b``), closure vertices, sample points and returned points.
 
 There are no module-level caches.  Derived data is memoized on the immutable
 object it describes (``cached_property``), so it lives exactly as long as
-that object: a polytope's face lattice, a cell's ambient rows, their integer
-forms and the bounding box.
+that object: a polytope's face lattice, a cell's integer rows and vertices
+and the bounding box.
 """
 
 from __future__ import annotations
@@ -115,7 +113,6 @@ from .linalg import (
     primitive_functional,
     rank,
     scale,
-    sub,
     vec,
     zeros,
 )
@@ -137,11 +134,6 @@ def _canon_cut(f):
     return f if next(filter(None, f[0])) > 0 else _neg(f)
 
 
-def _canon_row(f: Functional) -> Functional:
-    """Canonical oriented inequality row a.x <= beta (positive scaling only)."""
-    return primitive_functional(*f)
-
-
 # Integer forms of the sign kernel (see the module docstring).
 IntRow = tuple[tuple[int, ...], int, int]  # (a, numerator of beta, denominator of beta)
 IntPoints = tuple[tuple[tuple[int, ...], ...], int]  # (numerator rows, common denominator)
@@ -150,13 +142,14 @@ Box = tuple[tuple[int, ...], tuple[int, ...], int]  # (lo, hi, d): corners lo / 
 
 
 def _int_row(f: Functional) -> IntRow:
-    """The row a.x <= beta scaled by a positive integer to integer
-    coefficients (by 1 for a canonical row), in integer form."""
+    """The canonical integer form of the row a.x <= beta: scaled by a
+    positive rational so that a is primitive integral (``primitive_functional``)."""
     a, b = f
     m = lcm(*(c.denominator for c in a))
-    if m != 1:
-        b = b * m
-    return tuple(c.numerator * (m // c.denominator) for c in a), b.numerator, b.denominator
+    ints = [c.numerator * (m // c.denominator) for c in a]
+    g = gcd(*ints) or 1
+    b = b * Fraction(m, g)
+    return tuple(c // g for c in ints), b.numerator, b.denominator
 
 
 def _int_points(points: Iterable[Vec]) -> IntPoints:
@@ -302,9 +295,15 @@ def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Fu
     return tuple(a_amb), b_loc + shift
 
 
-def _restrict_functional(carrier: AffineSubspace, a: Vec, beta: Fraction) -> Functional:
-    """Carrier-local form of the ambient functional a.x <= beta."""
-    return tuple(dot(a, row) for row in carrier.directions), beta - dot(a, carrier.base)
+def _lift(carrier: AffineSubspace, row: Functional) -> IntRow:
+    """The canonical integer form of a local row's ambient lift."""
+    return _int_row(_lift_functional(carrier, *row))
+
+
+def _restrict_functional(carrier: AffineSubspace, row: IntRow) -> Functional:
+    """Carrier-local form of the ambient row a.x <= beta."""
+    a, bn, bd = row
+    return tuple(dot(a, r) for r in carrier.directions), Fraction(bn, bd) - dot(a, carrier.base)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +408,6 @@ class RelOpenCell(FrozenValue):
         return list(zip(self.closed_A, self.closed_b))
 
     @cached_property
-    def local_vertices(self) -> tuple[Vec, ...]:
-        return tuple(self.carrier.to_local(v) for v in self.closure_vertices)
-
-    @cached_property
     def _int_vertices(self) -> IntPoints:
         """The closure vertices over one common denominator."""
         return _int_points(self.closure_vertices)
@@ -423,22 +418,14 @@ class RelOpenCell(FrozenValue):
         return _bbox(self._int_vertices)
 
     @cached_property
-    def ambient_equations(self) -> tuple[Functional, ...]:
-        """Canonical ambient equations of the carrier."""
-        return tuple(_canon_row(e) for e in self.carrier.equations())
-
-    @cached_property
-    def ambient_facet_rows(self) -> tuple[Functional, ...]:
-        """The facet rows lifted to ambient coordinates (``_lift_functional``)."""
-        return tuple(_canon_row(_lift_functional(self.carrier, a, b)) for a, b in self.local_rows())
-
-    @cached_property
     def _int_equations(self) -> tuple[IntRow, ...]:
-        return tuple(map(_int_row, self.ambient_equations))
+        """The carrier's equations, in canonical integer form."""
+        return tuple(map(_int_row, self.carrier.equations()))
 
     @cached_property
     def _int_facet_rows(self) -> tuple[IntRow, ...]:
-        return tuple(map(_int_row, self.ambient_facet_rows))
+        """The facet rows lifted to ambient coordinates (``_lift``)."""
+        return tuple(_lift(self.carrier, f) for f in self.local_rows())
 
     @cached_property
     def _int_sample(self) -> IntPoint:
@@ -486,7 +473,7 @@ class RelOpenCell(FrozenValue):
     def contains(self, x: Vec) -> bool:
         """x lies on the carrier and strictly inside every facet row.
 
-        Read off the cached ambient rows, which agree with the carrier-local
+        Read off the cached integer rows, which agree with the carrier-local
         rows at every point up to a positive scaling.  A canonical cell
         excludes exactly its single facet rows (``excluded_faces`` is
         ((0,), (1,), ...)), so its relative interior is where all are strict.
@@ -526,46 +513,45 @@ def _cell(
 ) -> RelOpenCell:
     """The canonical cell whose closure is conv(points).
 
-    The candidates are ambient rows among which every facet of conv(points)
-    lies; None means every hyperplane through d affinely independent points,
-    found and tested in carrier coordinates.  Given the ``carrier``, which
-    conv(points) spans, the points are (local, ambient) pairs and each
-    candidate is a canonical local row with its ambient lift and that lift's
-    integer form, which the cell keeps.  A candidate that holds on every
-    point and is tight on some cuts out a face, and every face lies in a
-    facet, so the facets are the candidates tight on a maximal set of points
-    (``_facets``); they are restricted to the carrier, oriented and sorted.
-    A point is a closure vertex when the facets through it meet in it alone.
+    The candidates are ambient integer rows among which every facet of
+    conv(points) lies; None means every hyperplane through d affinely
+    independent points, found and tested in carrier coordinates.  Given the
+    ``carrier``, which conv(points) spans, each candidate is a canonical
+    local row with its lift's integer row, which the cell keeps; ambient
+    points sort as their local (pivot) coordinates.  A candidate that holds
+    on every point and is tight on some cuts out a face, and every face lies
+    in a facet, so the facets are the candidates tight on a maximal set of
+    points (``_facets``); they are restricted to the carrier, oriented and
+    sorted.  A point is a closure vertex when the facets through it meet in
+    it alone.
     """
-    pts = sorted(set(points))  # pairs sort as their distinct local coordinates
+    pts = sorted(set(points))
     scan, inherit = candidates is None, carrier is not None
-    pts, ambient = zip(*pts) if inherit else (pts, pts)
     carrier = carrier if inherit else AffineSubspace.from_points(pts)
     local = [carrier.to_local(p) for p in pts] if scan else pts
     frame = _int_points(local)
     faces: dict[int, tuple] = {}  # tight points as a bit set -> (candidate, holds as is)
     for f in _hyperplanes(local, carrier.dim) if scan else candidates:
-        vals = _excesses(f if scan else _int_row(f[0] if inherit else f), frame)
+        vals = _excesses(f[1] if inherit else f, frame)
         lo, hi = min(vals), max(vals)
         if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
             faces.setdefault(_zeros(vals), (f, hi == 0))
-    rows: dict[Functional, tuple] = {}  # canonical local row -> (tight points, inherited lifts)
+    rows: dict[Functional, tuple] = {}  # canonical local row -> (tight points, inherited lift)
     for tight in _facets((1 << len(pts)) - 1, faces):
         f, holds = faces[tight]
         if inherit:  # canonical already, and it holds on the points
-            rows[f[0]] = tight, f[1:]
+            rows[f[0]] = tight, f[1]
             continue
-        a, b = (vec(f[0]), Fraction(f[1])) if scan else _restrict_functional(carrier, *f)
-        rows[_canon_row((a, b) if holds else _neg((a, b)))] = tight, ()
+        a, b = (vec(f[0]), Fraction(f[1])) if scan else _restrict_functional(carrier, f)
+        rows[primitive_functional(*((a, b) if holds else _neg((a, b))))] = tight, None
     order = sorted(rows.items(), key=itemgetter(0))
     tights = [t for t, _ in rows.values()]
     verts = [i for i in range(len(pts)) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
     excluded = tuple((i,) for i in range(len(order)))
-    closure = tuple(ambient[i] for i in verts)
+    closure = tuple(pts[i] for i in verts)
     cell = RelOpenCell(carrier, tuple(r[0] for r, _ in order), tuple(r[1] for r, _ in order), excluded, closure)
-    if inherit:  # the caches the cell would derive again
-        lifts, ints = zip(*(lift for _, (_, lift) in order))  # a side of a split has facets
-        vars(cell).update(local_vertices=tuple(pts[i] for i in verts), ambient_facet_rows=lifts, _int_facet_rows=ints)
+    if inherit:  # the lifts the cell would derive again
+        vars(cell)["_int_facet_rows"] = tuple(lift for _, (_, lift) in order)
     return cell
 
 
@@ -593,46 +579,43 @@ def project_relint(f: Face, b_t: Mat) -> RelOpenCell:
 # splitting cells by hyperplanes
 
 
-def split_cell(cell: RelOpenCell, cut: Functional) -> dict[int, RelOpenCell]:
-    """Split a cell by the hyperplane {a.x = beta}.
+def split_cell(cell: RelOpenCell, cut: IntRow) -> dict[int, RelOpenCell]:
+    """Split a cell by the hyperplane {a.x = beta} of an integer row.
 
     Returns a dict from sign (-1, 0, +1 relative to the hyperplane) to the
     nonempty subcells on that side.  A cell whose relative interior misses
-    the hyperplane comes back intact under its single sign.  The sides -1
-    and +1 span the cell's carrier and are built in it: their candidates
-    are the cell's local rows and the cut, each with its ambient lift.
+    the hyperplane comes back intact under its single sign.  Crossing points
+    are formed once, from the integer vertices.  The sides -1 and +1 span
+    the cell's carrier and are built in it: their candidates are the cell's
+    local rows and the restricted cut, each with its lift's integer row.
     """
-    verts = cell._int_vertices
-    vals = _excesses(_int_row(cut), verts)
+    nums, d = verts = cell._int_vertices
+    vals = _excesses(cut, verts)
     negs = [i for i, v in enumerate(vals) if v < 0]
     poss = [i for i, v in enumerate(vals) if v > 0]
     if not (negs and poss):
         if not negs and not poss:
             return {0: cell}
         return {-1 if negs else 1: cell}
-    pts = list(zip(cell.local_vertices, cell.closure_vertices))  # (local, ambient)
     facets = [_zeros(_excesses(r, verts)) for r in cell._int_facet_rows]
-    crossings: list[tuple[Vec, Vec]] = []
-    carrier = cell.carrier
+    crossings: list[Vec] = []
     for i in negs:
-        (u, _), vu = pts[i], vals[i]
+        u, vu = nums[i], vals[i]
         for j in poss:
             if _smallest_face(facets, 1 << i | 1 << j, len(vals)) != 1 << i | 1 << j:
                 continue  # no edge joins the two vertices
-            (w, _), vw = pts[j], vals[j]
-            # the excesses share one positive scale, so their ratio is exact
-            t = add(u, scale(sub(w, u), Fraction(vu, vu - vw)))
-            crossings.append((t, carrier.from_local(t)))
-    kept = list(zip(cell.local_rows(), cell.ambient_facet_rows, cell._int_facet_rows))
-    down = _canon_row(_restrict_functional(carrier, *cut))
-    lift = _canon_row(_lift_functional(carrier, *down))
-    below = (down, lift, _int_row(lift))
-    on = [p for p, v in zip(pts, vals) if v == 0] + crossings
-    lo = [p for p, v in zip(pts, vals) if v < 0] + on
-    hi = [p for p, v in zip(pts, vals) if v > 0] + on
+            w, vw = nums[j], vals[j]  # one positive scale: the crossing is (w vu - u vw) / (d (vu - vw))
+            crossings.append(tuple(Fraction(cw * vu - cu * vw, d * (vu - vw)) for cu, cw in zip(u, w)))
+    carrier = cell.carrier
+    kept = list(zip(cell.local_rows(), cell._int_facet_rows))
+    down = primitive_functional(*_restrict_functional(carrier, cut))
+    below = (down, _lift(carrier, down))
+    on = [p for p, v in zip(cell.closure_vertices, vals) if v == 0] + crossings
+    lo = [p for p, v in zip(cell.closure_vertices, vals) if v < 0] + on
+    hi = [p for p, v in zip(cell.closure_vertices, vals) if v > 0] + on
     return {
         -1: _cell(lo, [*kept, below], carrier),
-        0: _cell([x for _, x in on], [*cell.ambient_facet_rows, cut, _neg(cut)]),
+        0: _cell(on, [*cell._int_facet_rows, cut, _neg(cut)]),
         1: _cell(hi, [*kept, tuple(map(_neg, below))], carrier),
     }
 
@@ -659,7 +642,7 @@ def closure_faces(cells: Iterable[RelOpenCell]) -> list[RelOpenCell]:
         for s in _face_sets(cell):
             faces.setdefault(tuple(v for i, v in enumerate(verts) if s >> i & 1), cell)
         faces[verts] = cell  # the whole closure is the cell itself
-    return [c if c.closure_vertices == p else _cell(p, c.ambient_facet_rows) for p, c in sorted(faces.items())]
+    return [c if c.closure_vertices == p else _cell(p, c._int_facet_rows) for p, c in sorted(faces.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +700,8 @@ class _SignTable:
     two cells disjoint.
 
     The keys are the hyperplanes of the facet rows and carrier equations of
-    the family, each as its integer row with positive leading coefficient.
+    the family, each as its integer row with positive leading coefficient,
+    the refinement's cuts (``_object_functionals``).
     On its first test a cell, in the family or not, gets bit sets over the
     keys, read off its closure vertices: the keys h with h <= 0 on its
     closure, with h >= 0, and with h < 0 or h > 0 on all of it; and, for the
@@ -743,11 +727,7 @@ class _SignTable:
     """
 
     def __init__(self, family: Iterable[RelOpenCell]):
-        keys = {}
-        for c in family:
-            for row in c._int_equations + c._int_facet_rows:
-                keys[_canon_cut(row)] = None
-        self._keys = list(keys)
+        self._keys = list(dict.fromkeys(f for c in family for f in _object_functionals(c)))
         self._vertices: dict[Vec, tuple[int, int]] = {}
         self._signs: dict[int, tuple[RelOpenCell, int, int, int, int, int, int]] = {}
 
@@ -812,9 +792,10 @@ def meets(x: RelOpenCell, obj: RelOpenCell, table: _SignTable) -> bool:
     return any(obj._holds(piece._int_sample, strict=False) for piece in _split_by(x, [obj]))
 
 
-def _object_functionals(obj: RelOpenCell) -> list[Functional]:
-    """Cut functionals that make membership in obj sign-determined: its rows, sign fixed."""
-    return [_canon_cut(f) for f in obj.ambient_equations + obj.ambient_facet_rows]
+def _object_functionals(obj: RelOpenCell) -> list[IntRow]:
+    """The hyperplanes that make membership in obj sign-determined: its
+    integer rows, sign fixed; the refinement's cuts and a sign table's keys."""
+    return [_canon_cut(f) for f in obj._int_equations + obj._int_facet_rows]
 
 
 def _split_by(x: RelOpenCell, objs: Iterable[RelOpenCell]) -> list[RelOpenCell]:
@@ -871,7 +852,7 @@ def _refine_engine(cells: Sequence[RelOpenCell]) -> list[RelOpenCell]:
     objects = closure_faces(cells)
     obj_funcs = [frozenset(_object_functionals(obj)) for obj in objects]
     table = _SignTable(objects)
-    cuts = {_canon_cut(e) for obj in objects if obj.dim == obj.ambient_dim - 1 for e in obj.ambient_equations}
+    cuts = {_canon_cut(e) for obj in objects if obj.dim == obj.ambient_dim - 1 for e in obj._int_equations}
     pieces = _distinct(cells)
     pending = sorted(cuts)
     while True:

@@ -10,13 +10,25 @@ from operator import mul
 from hypothesis import assume, strategies
 
 from momstrat import HPolytope, PiecewiseAffineCover, ToricAction, mat, vec
-from momstrat.linalg import AffineSubspace, Mat, Vec, dot, is_zero_vec, mat_vec, rank, row_space_basis, transpose
+from momstrat.linalg import (
+    AffineSubspace,
+    Mat,
+    Vec,
+    dot,
+    is_zero_vec,
+    mat_vec,
+    primitive_functional,
+    rank,
+    row_space_basis,
+    transpose,
+)
 from momstrat.polyhedron import (
     RelOpenCell,
     _bbox,
     _bbox_disjoint,
     _excesses,
     _int_points,
+    _lift_functional,
     _SignTable,
     _split_by,
     cell_from_closure_points,
@@ -42,12 +54,27 @@ def in_row_space(v: Vec, basis: Mat) -> bool:
     return rank(basis + (v,)) == rank(basis)
 
 
+def ambient_rows(cell: RelOpenCell):
+    """A ``Fraction`` reference for a cell's ambient rows, apart from its
+    integer caches: the carrier's equations, and the local facet rows lifted
+    by ``_lift_functional``, each scaled by a positive rational to a
+    primitive integral normal (``primitive_functional``)."""
+    equations = tuple(primitive_functional(*e) for e in cell.carrier.equations())
+    facets = tuple(primitive_functional(*_lift_functional(cell.carrier, a, b)) for a, b in cell.local_rows())
+    return equations, facets
+
+
+def int_form(rows) -> tuple:
+    """Rows with integral normals as integer rows (a, beta numerator, beta denominator)."""
+    return tuple((tuple(int(c) for c in a), b.numerator, b.denominator) for a, b in rows)
+
+
 def hpolytope_from_points(points) -> HPolytope:
     """Ambient H-description of conv(points): the carrier equations as
     paired rows, then the facet rows of the canonical cell."""
-    cell = cell_from_closure_points(points)
-    rows = [r for a, b in cell.ambient_equations for r in ((a, b), (tuple(-c for c in a), -b))]
-    rows += cell.ambient_facet_rows
+    equations, facets = ambient_rows(cell_from_closure_points(points))
+    rows = [r for a, b in equations for r in ((a, b), (tuple(-c for c in a), -b))]
+    rows += facets
     return HPolytope(mat(r[0] for r in rows), vec(r[1] for r in rows))
 
 

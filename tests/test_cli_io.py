@@ -582,6 +582,30 @@ def _density(*exponents, stratum_id=20, degree=1, values=("1",)):
             (),
             id="density-degree-without-terms",
         ),
+        pytest.param(
+            "render",
+            _paper_document_with(_cell_of(7)["closure_vertices"][:1], "strata", 7, "cells", 0, "closure_vertices"),
+            (),
+            id="line-cell-with-one-vertex",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(_cell_of(-1)["closure_vertices"][:2], "strata", -1, "cells", 0, "closure_vertices"),
+            (),
+            id="plane-cell-with-two-vertices",
+        ),
+        pytest.param(
+            "render",
+            _paper_document_with(["1/2", "1/3"], "strata", 7, "cells", 0, "closure_vertices", 1),
+            (),
+            id="closure-vertex-off-its-carrier",
+        ),
+        pytest.param(
+            "render", _paper_document_with([["0", "1"]], "strata", 8, "direction"), (), id="direction-not-the-carriers"
+        ),
+        pytest.param(
+            "render", _paper_document_with([[99, 0], [1, 2, 3]], "strata", 7, "adjacency"), (), id="adjacency-not-cell-pairs"
+        ),
         pytest.param("stratify", {**_square_spec(), "name": ["x"]}, (), id="spec-name-not-a-string"),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),

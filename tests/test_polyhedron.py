@@ -25,7 +25,9 @@ from momstrat.polyhedron import (
     split_cell,
 )
 from support import (
+    ambient_rows,
     box_cell,
+    int_form,
     paper_action,
     prism_polytope,
     random_toric_instance,
@@ -248,14 +250,56 @@ def test_point_tests_match_carrier_local_reference():
                 assert cell.closure_contains(x) == _carrier_local_membership(cell, x, closed=True)
 
 
+def _assert_canonical_sides(parts):
+    # every side is the cell of its closure vertices, and its integer rows
+    # are the integer forms of the Fraction reference rows
+    for part in parts.values():
+        assert part == cell_from_closure_points(part.closure_vertices)
+        equations, facets = ambient_rows(part)
+        assert part._int_equations == int_form(equations)
+        assert part._int_facet_rows == int_form(facets)
+
+
+def _vertices(parts):
+    return {side: [[str(c) for c in v] for v in part.closure_vertices] for side, part in parts.items()}
+
+
 def test_split_cell_signs():
+    # cuts are integer rows (a, beta numerator, beta denominator)
     square = box_cell([[0, 0], [0, 2], [2, 0], [2, 2]])
-    parts = split_cell(square, (vec([1, 0]), F(1)))
+    parts = split_cell(square, ((1, 0), 1, 1))
     assert set(parts) == {-1, 0, 1}
     assert parts[0].dim == 1
-    parts2 = split_cell(square, (vec([1, 0]), F(5)))
+    _assert_canonical_sides(parts)
+    parts2 = split_cell(square, ((1, 0), 5, 1))
     assert set(parts2) == {-1}
     assert parts2[-1] is square
+    # a non-integer offset: x = 1/2
+    half = split_cell(square, ((1, 0), 1, 2))
+    assert _vertices(half) == {
+        -1: [["0", "0"], ["0", "2"], ["1/2", "0"], ["1/2", "2"]],
+        0: [["1/2", "0"], ["1/2", "2"]],
+        1: [["1/2", "0"], ["1/2", "2"], ["2", "0"], ["2", "2"]],
+    }
+    _assert_canonical_sides(half)
+    # a positive multiple of a cut gives identical sides, cached rows included
+    for cut, same in ((((3, 0), 3, 1), parts), (((2, 0), 1, 1), half)):
+        multiple = split_cell(square, cut)
+        assert multiple == same
+        assert all(multiple[k]._int_facet_rows == same[k]._int_facet_rows for k in same)
+    # a triangle on the plane x + y + z = 1 in R^3, cut by x = 1/2: the two
+    # sides keep its carrier, and a cut that differs on R^3 but agrees with
+    # x = 1/2 on that plane gives the same sides
+    triangle = cell_from_closure_points([vec(p) for p in ([0, 0, 1], [2, 0, -1], [0, 2, -1])])
+    tri = split_cell(triangle, ((1, 0, 0), 1, 2))
+    assert _vertices(tri) == {
+        -1: [["0", "0", "1"], ["0", "2", "-1"], ["1/2", "0", "1/2"], ["1/2", "3/2", "-1"]],
+        0: [["1/2", "0", "1/2"], ["1/2", "3/2", "-1"]],
+        1: [["1/2", "0", "1/2"], ["1/2", "3/2", "-1"], ["2", "0", "-1"]],
+    }
+    assert tri[-1].carrier == tri[1].carrier == triangle.carrier and tri[0].dim == 1
+    _assert_canonical_sides(tri)
+    assert split_cell(triangle, ((2, 1, 1), 3, 2)) == tri
 
 
 def test_closure_faces_are_canonical_cells():

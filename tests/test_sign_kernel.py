@@ -21,7 +21,6 @@ from momstrat.polyhedron import (
     _faces_by_incidence,
     _int_points,
     _SignTable,
-    _restrict_functional,
     _split_by,
     cell_from_closure_points,
     closure_faces,
@@ -32,6 +31,7 @@ from momstrat.polyhedron import (
     vertices,
 )
 from support import (
+    ambient_rows,
     closures_separated,
     corpus,
     large_product_action,
@@ -89,9 +89,15 @@ def reference_test(cell, x, strict):
     lo, hi = fraction_bbox(cell)
     if not all(l <= c <= h for l, c, h in zip(lo, x, hi)):
         return False
-    if any(dot(a, x) != b for a, b in cell.ambient_equations):
+    equations, facets = ambient_rows(cell)
+    if any(dot(a, x) != b for a, b in equations):
         return False
-    return all((dot(a, x) < b) if strict else (dot(a, x) <= b) for a, b in cell.ambient_facet_rows)
+    return all((dot(a, x) < b) if strict else (dot(a, x) <= b) for a, b in facets)
+
+
+def restrict(carrier, a, b):
+    """The ambient row a.x <= b in the carrier's local coordinates, in ``Fraction``."""
+    return tuple(dot(a, row) for row in carrier.directions), b - dot(a, carrier.base)
 
 
 def reference_meets(x, obj):
@@ -100,10 +106,11 @@ def reference_meets(x, obj):
     facet hyperplanes of x is nonempty exactly when the convex Q lies in
     none of them."""
     rows = x.local_rows()
-    for a, b in obj.ambient_equations:
-        a_loc, b_loc = _restrict_functional(x.carrier, a, b)
+    equations, facets = ambient_rows(obj)
+    for a, b in equations:
+        a_loc, b_loc = restrict(x.carrier, a, b)
         rows += [(a_loc, b_loc), (tuple(-c for c in a_loc), -b_loc)]
-    rows += [_restrict_functional(x.carrier, a, b) for a, b in obj.ambient_facet_rows]
+    rows += [restrict(x.carrier, a, b) for a, b in facets]
     q = enumerate_vertices(rows, x.dim)
     return bool(q) and all(any(dot(a, t) != b for t in q) for a, b in x.local_rows())
 
@@ -128,8 +135,8 @@ def cell_and_point(draw):
     kind = draw(st.sampled_from(["mix", "shift", "normal"]))
     if kind == "shift":
         x = tuple(c + s for c, s in zip(x, draw(shifts)))
-    elif kind == "normal" and cell.ambient_equations:
-        a = cell.ambient_equations[draw(st.integers(0, len(cell.ambient_equations) - 1))][0]
+    elif kind == "normal" and (equations := ambient_rows(cell)[0]):
+        a = equations[draw(st.integers(0, len(equations) - 1))][0]
         t = draw(st.fractions(min_value=-1, max_value=1, max_denominator=5))
         x = tuple(c + t * ai for c, ai in zip(x, a))
     return cell, vec(x)
@@ -242,7 +249,8 @@ def test_tight_sets_are_bit_sets_of_the_fraction_test(cell, j):
     # the rows of the cell and of another cell of the same ambient space, at
     # the cell's closure vertices
     same = by_ambient_dim(cell.ambient_dim)
-    rows = [*cell.ambient_facet_rows, *same[j % len(same)].ambient_facet_rows, *cell.ambient_equations]
+    (equations, facets), (_, other) = ambient_rows(cell), ambient_rows(same[j % len(same)])
+    rows = [*facets, *other, *equations]
     points = cell.closure_vertices
     expected = [sum(1 << i for i, p in enumerate(points) if dot(a, p) == b) for a, b in rows]
     assert tight_sets(rows, points) == expected
@@ -265,7 +273,7 @@ def test_face_dimensions_by_descent_match_ranks():
     for cell in pool():
         verts = cell.closure_vertices
         assert cell.dim == _rank_dim(verts)
-        faces = _faces_by_incidence(tight_sets(cell.ambient_facet_rows, verts), len(verts))
+        faces = _faces_by_incidence(tight_sets(ambient_rows(cell)[1], verts), len(verts))
         for face, dim in faces.items():
             assert dim == _rank_dim(v for i, v in enumerate(verts) if face >> i & 1)
             checked += 1

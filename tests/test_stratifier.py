@@ -26,9 +26,11 @@ from support import (
     all_pairs_adjacency,
     all_pairs_frontier,
     all_pairs_holders,
+    ambient_rows,
     box_cell,
     corpus,
     hpolytope_from_points,
+    int_form,
     large_product_action,
     pairwise_meets,
     pairwise_verify_frontier,
@@ -340,7 +342,8 @@ def test_sign_table_and_split_children_on_products_of_simplices(action):
     for x in family + list(action.cover.pieces):
         assert [table.within(x, obj) for obj in family] == [_within_closure(x, obj) for obj in family]
     # every child of every split equals the cell built from its closure
-    # vertices alone, cached rows included
+    # vertices alone, and its inherited integer rows are the integer forms
+    # of the Fraction reference rows
     children = {}
     split = polyhedron.split_cell
 
@@ -355,9 +358,9 @@ def test_sign_table_and_split_children_on_products_of_simplices(action):
     for child in children.values():
         ref = cell_from_closure_points(child.closure_vertices)
         assert child == ref
-        assert child.ambient_facet_rows == ref.ambient_facet_rows
-        assert child._int_facet_rows == ref._int_facet_rows
-        assert child._int_equations == ref._int_equations
+        equations, facets = ambient_rows(child)
+        assert child._int_facet_rows == ref._int_facet_rows == int_form(facets)
+        assert child._int_equations == ref._int_equations == int_form(equations)
 
 
 def test_verify_tangent_paper_and_identity():
