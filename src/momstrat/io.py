@@ -210,9 +210,12 @@ def _j2cell(data, n: int) -> RelOpenCell:
     if not all(0 <= i < len(a) for f in excluded for i in f):
         raise ParseError(f"excluded faces {[list(f) for f in excluded]} name no row of a cell of {len(a)}")
     verts = _j2rows(_nonempty(data["closure_vertices"], "closure_vertices"), n, "closure vertex")
-    if AffineSubspace.from_points(verts) != carrier:
+    cell = cell_from_closure_points(verts)
+    if cell.carrier != carrier:
         raise ParseError(f"closure vertices {_mat2j(verts)} do not span their cell's carrier")
-    return RelOpenCell(carrier, a, b, excluded, verts)
+    if cell != RelOpenCell(carrier, a, b, excluded, verts):
+        raise ParseError(f"the cell with closure vertices {_mat2j(verts)} is not their canonical cell")
+    return cell
 
 
 def _density2j(poly: DensityPoly) -> dict:
@@ -283,7 +286,7 @@ def parse_document(raw: bytes) -> StratificationDocument:
         n = _int(data["ambient_dim"])
         strata = []
         densities = {}
-        ids = set()
+        dims = {}  # stratum id -> dimension
         for entry in _nonempty(data["strata"], "strata"):
             integer_direction = None
             if "integer_direction" in entry:
@@ -297,7 +300,7 @@ def parse_document(raw: bytes) -> StratificationDocument:
                 tuple(tuple(_int(i) for i in e) for e in entry["adjacency"]),
                 integer_direction,
             )
-            if st.id in ids:
+            if st.id in dims:
                 raise ParseError(f"stratum id {st.id} is used twice")
             top = max(c.dim for c in st.cells)
             if not st.dim == len(st.direction) == st.carrier.dim == top:
@@ -309,14 +312,20 @@ def parse_document(raw: bytes) -> StratificationDocument:
                 raise ParseError(f"stratum {st.id} has a direction other than its carrier's directions")
             if not all(len(e) == 2 and all(0 <= i < len(st.cells) for i in e) for e in st.adjacency):
                 raise ParseError(f"stratum {st.id} has adjacency entries that are not pairs of its cells")
-            ids.add(st.id)
+            dims[st.id] = st.dim
             strata.append(st)
             if "density" in entry:
                 densities[st.id] = _j2density(entry["density"], n, st.id)
         frontier = tuple(tuple(_int(i) for i in p) for p in data["frontier"])
         for pair in frontier:
-            if len(pair) != 2 or not ids.issuperset(pair):
+            if len(pair) != 2 or not all(i in dims for i in pair):
                 raise ParseError(f"frontier pair {list(pair)} does not name two strata")
+            lower, upper = pair
+            if dims[lower] >= dims[upper]:
+                raise ParseError(
+                    f"frontier pair {list(pair)} puts a stratum of dimension {dims[lower]}"
+                    f" in the closure of one of dimension {dims[upper]}"
+                )
         s = Stratification(tuple(strata), frontier, n)
         if not isinstance(data["provenance"], dict):
             raise ParseError("provenance must be an object")

@@ -5,13 +5,16 @@ the algorithms favour transparent exactness over asymptotics.  Faces come
 from vertex-facet incidence alone: ``_facets`` gives the facets of a face S,
 a bit set of points, as the maximal proper nonempty sets S & t over the tight
 sets t.  The face lattice, ``_cell``, ``closure_faces`` and the volume fans of
-``dh`` all use it, with no rank.  One tight-basis scan, ``_kernel_lines``,
-yields the kernel line of every k integer rows of rank k in k + 1
+``dh`` all use it, with no rank.  One double-description run,
+``_double_description``, gives the extreme rays of the homogenized cone of a
+polytope in integers: ``vertices`` reads the vertices off it and
+``is_bounded`` the recession rays, with no tight-basis scan.
+``_kernel_lines`` yields the kernel line of integer rows of rank k in k + 1
 homogeneous coordinates, as an integer vector read off the fraction-free
 elimination of ``linalg`` (``_eliminate``); any nonzero multiple serves.  It
-gives the vertices (``enumerate_vertices``), the extreme rays that decide
-boundedness (``is_bounded``) and the hyperplanes through points
-(``_hyperplanes``), with the rows scaled to integers first.
+gives the first rays of that run and, as a scan of every k rows, the
+vertices of ``enumerate_vertices`` (the Monte-Carlo oracle's own path) and
+the hyperplanes through points (``_hyperplanes``).
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
@@ -221,11 +224,12 @@ class HPolytope(FrozenValue):
 
 
 def _kernel_lines(rows: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
-    """The tight-basis scan: for each k-subset of the integer homogeneous rows
-    (each of length k + 1) whose kernel is a line, an integer vector spanning
-    that line, read off the integer elimination ``_eliminate`` of the subset:
-    the last pivot at the free coordinate, minus that column's entry of each
-    reduced row at the row's pivot."""
+    """For each k-subset of the integer homogeneous rows (each of length
+    k + 1) whose kernel is a line, an integer vector spanning that line, read
+    off the integer elimination ``_eliminate`` of the subset: the last pivot
+    at the free coordinate, minus that column's entry of each reduced row at
+    the row's pivot.  Given exactly k rows, it is one line; given more, it is
+    the tight-basis scan of ``enumerate_vertices`` and ``_hyperplanes``."""
     for subset in itertools.combinations(rows, k):
         red, pivots, d = _eliminate(subset)
         if len(pivots) == k:
@@ -237,19 +241,50 @@ def _kernel_lines(rows: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, 
             yield tuple(z)
 
 
+def _primitive(z: Sequence[int], sign: int = 1) -> tuple[int, ...]:
+    """The nonzero integer vector z over the gcd of its entries, times ``sign``."""
+    g = gcd(*z) * sign
+    return tuple(c // g for c in z)
+
+
+def _double_description(p: HPolytope) -> list[tuple[int, ...]] | None:
+    """The extreme rays (x, t) of the cone {(x, t) : a.x - beta t <= 0 for
+    every row, t >= 0}, primitive integral, by the double-description method
+    (Motzkin et al. 1953; Fukuda and Prodon 1996); None when the polytope is
+    unbounded, as the cone has a line (rank A < n) or a ray with t = 0.  The
+    rays are the vertices times t > 0, and none means empty.  The n + 1
+    first independent rows, t >= 0 first, give a simplicial cone; each other
+    row h keeps the rays r with h.r <= 0 and joins each adjacent pair with
+    h.p > 0 > h.q into (h.p) q - (h.q) p: adjacent when no other ray is tight
+    on all their common tight rows (bit sets), at least n - 1 of them."""
+    n = p.ambient_dim
+    rows = [(0,) * n + (-1,), *_integer_rows([(*a, -b) for a, b in zip(p.A, p.b)])[0]]
+    basis = _eliminate(list(zip(*rows)))[1]
+    if len(basis) <= n:
+        return None
+    rays = []  # (primitive ray, tight rows as a bit set)
+    for i in basis:
+        z = next(_kernel_lines([rows[j] for j in basis if j != i], n))
+        sign = -1 if sum(map(mul, rows[i], z)) > 0 else 1
+        rays.append((_primitive(z, sign), sum(1 << j for j in basis if j != i)))
+    for j in (j for j in range(len(rows)) if j not in basis):
+        h, bit = rows[j], 1 << j
+        vals = [sum(map(mul, h, r)) for r, _ in rays]
+        tights = [t for _, t in rays]
+        pos = [(r, t, v) for (r, t), v in zip(rays, vals) if v > 0]
+        neg = [(r, t, v) for (r, t), v in zip(rays, vals) if v < 0]
+        rays = [(r, t | bit if v == 0 else t) for (r, t), v in zip(rays, vals) if v <= 0]
+        for (a, ta, va), (b, tb, vb) in itertools.product(pos, neg):
+            common = ta & tb
+            if common.bit_count() >= n - 1 and sum(common & t == common for t in tights) == 2:
+                rays.append((_primitive([va * y - vb * x for x, y in zip(a, b)]), common | bit))
+    return None if any(r[n] == 0 for r, _ in rays) else [r for r, _ in rays]
+
+
 def is_bounded(p: HPolytope) -> bool:
     """Exact boundedness: the recession cone {r : A.r <= 0} is the origin
-    alone.  With rank A = n the cone is pointed, and a pointed cone other
-    than the origin has an extreme ray, which spans the kernel line of n - 1
-    independent rows of A (Schrijver 1986, section 8.8); so it suffices that
-    neither r nor -r lies in the cone for any such line r.  The rows are
-    scaled to integers, which keeps every sign."""
-    n = p.ambient_dim
-    if n == 0:
-        return True
-    rows = _integer_rows(p.A)[0]
-    values = ([sum(map(mul, a, r)) for a in rows] for r in _kernel_lines(rows, n - 1))
-    return rank(p.A) == n and all(min(v) < 0 < max(v) for v in values)
+    alone, read off the double-description run (``_double_description``)."""
+    return _double_description(p) is not None
 
 
 def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
@@ -257,26 +292,28 @@ def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
     enumeration: each kernel line z of dim rows (a, -beta), scaled to
     integers, with z[dim] != 0 gives the candidate point z[:dim] / z[dim].
     Candidates are kept as primitive lines with z[dim] > 0 and tested in
-    integers: the point is feasible when every row has (a, -beta).z <= 0."""
+    integers: the point is feasible when every row has (a, -beta).z <= 0.
+    It is the Monte-Carlo oracle's own path, apart from ``vertices``."""
     ints = _integer_rows([(*a, -b) for a, b in rows])[0]
     found: set[tuple[int, ...]] = set()
     for z in _kernel_lines(ints, dim):
         if z[dim]:
-            g = gcd(*z) if z[dim] > 0 else -gcd(*z)
-            z = tuple(c // g for c in z)
+            z = _primitive(z, 1 if z[dim] > 0 else -1)
             if z not in found and all(sum(map(mul, a, z)) <= 0 for a in ints):
                 found.add(z)
     return sorted(tuple(Fraction(c, z[dim]) for c in z[:dim]) for z in found)
 
 
 def vertices(p: HPolytope) -> list[Vec]:
-    """Exact, deduplicated, lexicographically sorted vertex list."""
-    if not is_bounded(p):
+    """Exact, lexicographically sorted vertex list: the double-description
+    rays divided by t.  ``UnboundedPolytope`` comes before ``EmptyPolytope``."""
+    rays = _double_description(p)
+    if rays is None:
         raise UnboundedPolytope("polytope has a nonzero recession direction")
-    vs = enumerate_vertices(list(zip(p.A, p.b)), p.ambient_dim)
-    if not vs:
+    if not rays:
         raise EmptyPolytope("polytope has no points")
-    return vs
+    n = p.ambient_dim
+    return sorted(tuple(Fraction(c, r[n]) for c in r[:n]) for r in rays)
 
 
 def _lift_functional(carrier: AffineSubspace, a_loc: Vec, b_loc: Fraction) -> Functional:

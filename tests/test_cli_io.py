@@ -606,6 +606,18 @@ def _density(*exponents, stratum_id=20, degree=1, values=("1",)):
         pytest.param(
             "render", _paper_document_with([[99, 0], [1, 2, 3]], "strata", 7, "adjacency"), (), id="adjacency-not-cell-pairs"
         ),
+        pytest.param(
+            "render",
+            _paper_document_with(
+                ["7"] * len(_cell_of(-1)["inequalities"]["b"]), *("strata", -1, "cells", 0, "inequalities", "b")
+            ),
+            (),
+            id="cell-rows-not-its-closures",
+        ),
+        pytest.param(
+            "render", _paper_document_with([[20, 0]], "frontier"), (), id="frontier-chamber-below-a-point"
+        ),
+        pytest.param("render", _paper_document_with([[3, 3]], "frontier"), (), id="frontier-pair-of-one-stratum"),
         pytest.param("stratify", {**_square_spec(), "name": ["x"]}, (), id="spec-name-not-a-string"),
         pytest.param("oracle", _square_spec(), ("--point", "1/0,1"), id="oracle-zero-denominator"),
         pytest.param("oracle", _square_spec(), ("--point", "1/2,1/2,1/2"), id="oracle-point-dimension"),

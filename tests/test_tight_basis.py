@@ -1,7 +1,9 @@
-"""The tight-basis scan of ``polyhedron`` against the code it replaced:
-boundedness by Fourier-Motzkin elimination and vertices by one augmented
-``rref`` per basis, both kept here as references; and the boundedness proof
-of an 18-row box in R^4, which Fourier-Motzkin did not finish in minutes."""
+"""The tight-basis scan and the double-description run of ``polyhedron``
+against the code they replaced: boundedness by Fourier-Motzkin elimination
+and vertices by one augmented ``rref`` per basis, both kept here as
+references; the face lattice of an 18-row box in R^4, whose boundedness
+Fourier-Motzkin did not prove in minutes; and that of the 5-dimensional
+cross-polytope, whose 32 rows the tight-basis scan took seconds over."""
 
 import itertools
 import json
@@ -9,12 +11,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from momstrat.errors import EmptyPolytope, UnboundedPolytope
 from momstrat.linalg import ONE, ZERO, dot, mat, primitive_functional, rref, vec
-from momstrat.polyhedron import HPolytope, enumerate_vertices, is_bounded
+from momstrat.polyhedron import HPolytope, _double_description, enumerate_vertices, is_bounded, vertices
 
 F = Fraction
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -99,6 +103,49 @@ def test_tight_basis_scan_matches_the_references(system):
         assert is_bounded(p) == reference_is_bounded(p)
 
 
+def _outcome(run):
+    """The vertex list ``run`` returns, or the name of the error it raises."""
+    try:
+        return run()
+    except UnboundedPolytope:
+        return "unbounded"
+    except EmptyPolytope:
+        return "empty"
+
+
+def reference_vertices(rows, dim, p):
+    """``vertices`` from the references: unboundedness first, then emptiness."""
+    if not reference_is_bounded(p):
+        raise UnboundedPolytope("reference")
+    found = reference_enumerate_vertices(rows, dim)
+    if not found:
+        raise EmptyPolytope("reference")
+    return found
+
+
+@SETTINGS
+@given(systems())
+@example(EMPTY)
+@example(UNBOUNDED)
+@example(LINE)
+@example(TRIANGLE)
+@example(_system(2, ([-1, 0], 0), ([0, -1], 0), ([1, 1], 1), ([1, 1], 1), ([0, -1], 0)))  # duplicate rows
+@example(_system(2, ([-1, 0], 0), ([0, -1], 0), ([1, 1], 1), ([0, 0], 1)))  # a zero row with beta > 0
+@example(_system(2, ([-1, 0], 0), ([0, -1], 0), ([1, 1], 1), ([0, 0], -1)))  # a zero row with beta < 0: empty
+# a zero row is tight on every ray: only the adjacency test keeps (1, 1) and (0, 0) from a joint ray
+@example(_system(2, ([0, 0], 0), ([-1, 0], 0), ([0, -1], 0), ([1, 0], 1), ([0, 1], 1), ([2, 2], 3)))
+@example(_system(3, ([1, 0, 0], 1), ([-1, 0, 0], 1), ([0, 1, 0], 1), ([0, -1, 0], 1)))  # rank A = 2 < 3
+@example(_system(2, ([1, 0], 0), ([-1, 0], -1), ([0, -1], 0)))  # empty, with a recession ray (0, 1)
+@example(_system(2, ([1, 0], 0), ([-1, 0], -1)))  # empty, and rank A = 1 < 2
+@example(_system(0, ([], 1)))
+@example(_system(0, ([], 1), ([], -1)))
+def test_double_description_matches_the_references(system):
+    dim, rows = system
+    if rows:
+        p = HPolytope(mat(a for a, _ in rows), vec(b for _, b in rows))
+        assert _outcome(lambda: vertices(p)) == _outcome(lambda: reference_vertices(rows, dim, p))
+
+
 def test_zero_dimensional_polytope_is_bounded():
     assert is_bounded(HPolytope.from_rows([[]], [1]))
 
@@ -115,6 +162,14 @@ def box_with_cuts(extra: int, seed: int):
             rows.append(a)
             offsets.append(rng.randint(1, sum(map(abs, a))))
     return rows, offsets
+
+
+def test_double_description_of_an_18_row_box_in_r4_keeps_primitive_extreme_rays():
+    rows, offsets = box_with_cuts(10, seed=3)
+    p = HPolytope.from_rows(rows, offsets)
+    rays = _double_description(p)
+    assert all(gcd(*r) == 1 and r[4] > 0 for r in rays)
+    assert sorted(tuple(F(c, r[4]) for c in r[:4]) for r in rays) == enumerate_vertices(list(zip(p.A, p.b)), 4)
 
 
 FACE_COUNTS = """
@@ -140,3 +195,20 @@ def test_face_lattice_of_an_18_row_box_in_r4_finishes_in_seconds():
     f = dict(json.loads(proc.stdout))
     assert f[-1] == f[4] == 1
     assert f[0] - f[1] + f[2] - f[3] == 0  # Euler's relation for a 4-polytope
+
+
+def test_face_lattice_of_the_5_dimensional_cross_polytope_finishes_in_seconds():
+    # 32 rows +-x1 +- ... +- x5 <= 1: the tight-basis scan solved C(32, 5) =
+    # 201,376 bases for the vertices
+    rows = [list(signs) for signs in itertools.product((1, -1), repeat=5)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FACE_COUNTS],
+        input=json.dumps([rows, [1] * 32]),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    f = dict(json.loads(proc.stdout))
+    assert f[0] == 10
+    assert sum(count for dim, count in f.items() if dim >= 0) == 3**5
