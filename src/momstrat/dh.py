@@ -90,12 +90,22 @@ class DensityPoly(NamedTuple):
     degree: int
 
     def evaluate(self, x) -> Fraction:
+        """The value at x = n / q, summed in integers over m q^D: each term
+        c x^e is c m * n^e * q^(D - |e|), with m the lcm of the coefficients'
+        denominators and D the terms' largest total degree."""
         point = vec(x)
         if any(len(e) != len(point) for e, _ in self.coefficients):
             raise DimensionMismatch(
                 f"stratum {self.stratum_id}: a point with {len(point)} coordinates does not fit the density's exponents"
             )
-        return sum((c * _monomial(point, e) for e, c in self.coefficients), ZERO)
+        (n,), q = _int_points((point,))
+        m = math.lcm(*(c.denominator for _, c in self.coefficients))
+        top = max((sum(e) for e, _ in self.coefficients), default=0)
+        total = sum(
+            c.numerator * (m // c.denominator) * math.prod(map(pow, n, e)) * q ** (top - sum(e))
+            for e, c in self.coefficients
+        )
+        return Fraction(total, m * q**top)
 
 
 def _fiber_point(a: ToricAction, x) -> Vec:
@@ -198,10 +208,6 @@ def fiber_volume(a: ToricAction, x) -> FiberVolume:
 # packed monomials to integer coefficients over a denominator kept aside: the
 # monomial x^e is the integer sum of e_i * (d + 1)^i, so multiplying by x_i
 # adds (d + 1)^i and no exponent overflows into the next variable.
-
-
-def _monomial(x: Vec, expo: tuple[int, ...]) -> Fraction:
-    return math.prod((xi**e for xi, e in zip(x, expo)), start=Fraction(1))
 
 
 def _add_product(acc: dict, sign: int, affine: tuple[int, ...], poly: dict, steps: tuple[int, ...]) -> None:

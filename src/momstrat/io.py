@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple
 
 from . import __version__
@@ -24,12 +25,8 @@ from .toric import ToricAction
 SCHEMA_STRATIFICATION = "momstrat.stratification/1"
 
 
-def _f2s(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec2j(v: Vec) -> list[str]:
-    return [_f2s(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _mat2j(m: Mat) -> list[list[str]]:
@@ -178,28 +175,11 @@ def make_document(
     return StratificationDocument(s, dens, tuple(sorted(entries.items())))
 
 
-def _subspace2j(s: AffineSubspace) -> dict:
-    return {
-        "ambient_dim": s.ambient_dim,
-        "base": _vec2j(s.base),
-        "directions": _mat2j(s.directions),
-    }
-
-
 def _j2subspace(data, n: int) -> AffineSubspace:
     if _int(data["ambient_dim"]) != n:
         raise ParseError(f"carrier of ambient dimension {data['ambient_dim']} in a document of {n}")
     base = _sized(_j2vec(data["base"]), n, "carrier base")
     return AffineSubspace(base, _j2rows(data["directions"], n, "carrier direction"), n)
-
-
-def _cell2j(c: RelOpenCell) -> dict:
-    return {
-        "carrier": _subspace2j(c.carrier),
-        "inequalities": {"A": _mat2j(c.closed_A), "b": _vec2j(c.closed_b)},
-        "excluded_faces": [list(f) for f in c.excluded_faces],
-        "closure_vertices": _mat2j(c.closure_vertices),
-    }
 
 
 def _j2cell(data, n: int) -> RelOpenCell:
@@ -216,16 +196,6 @@ def _j2cell(data, n: int) -> RelOpenCell:
     if cell != RelOpenCell(carrier, a, b, excluded, verts):
         raise ParseError(f"the cell with closure vertices {_mat2j(verts)} is not their canonical cell")
     return cell
-
-
-def _density2j(poly: DensityPoly) -> dict:
-    return {
-        "stratum_id": poly.stratum_id,
-        "degree": poly.degree,
-        "coefficients": [
-            {"exponents": list(e), "value": _f2s(c)} for e, c in poly.coefficients
-        ],
-    }
 
 
 def _exponents(data, n: int) -> tuple[int, ...]:
@@ -246,33 +216,6 @@ def _j2density(data, n: int, stratum_id: int) -> DensityPoly:
     if poly.degree != max(map(sum, exponents), default=0):
         raise ParseError(f"the density of stratum {stratum_id} has degree {poly.degree}, not that of its terms")
     return poly
-
-
-def document_to_json(doc: StratificationDocument) -> dict:
-    s = doc.stratification
-    strata = []
-    for st in s.strata:
-        entry = {
-            "id": st.id,
-            "dim": st.dim,
-            "direction": _mat2j(st.direction),
-            "carrier": _subspace2j(st.carrier),
-            "cells": [_cell2j(c) for c in st.cells],
-            "adjacency": [list(e) for e in st.adjacency],
-        }
-        if st.integer_direction is not None:
-            entry["integer_direction"] = [[int(x) for x in row] for row in st.integer_direction]
-        poly = doc.density_for(st.id)
-        if poly is not None:
-            entry["density"] = _density2j(poly)
-        strata.append(entry)
-    return {
-        "schema": SCHEMA_STRATIFICATION,
-        "ambient_dim": s.ambient_dim,
-        "strata": strata,
-        "frontier": [list(p) for p in s.frontier],
-        "provenance": dict(doc.provenance),
-    }
 
 
 def parse_document(raw: bytes) -> StratificationDocument:
@@ -339,8 +282,65 @@ def dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# the document writer: the text of ``dumps`` of the document's JSON tree, in one pass from the
+# records, keys in sorted order.  ``ind`` is a newline and the indentation of the value's last line.
+
+
+def _join(items: list[str], ind: str, brackets: str = "[]") -> str:
+    inner = ind + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1] if items else brackets
+
+
+def _list(v, ind: str, fmt: str = '"%s"') -> str:
+    return _join([fmt % x for x in v], ind)
+
+
+def _rows(m, ind: str, fmt: str = '"%s"') -> str:
+    return _join([_list(row, ind + "  ", fmt) for row in m], ind)
+
+
+def _subspace_text(s: AffineSubspace, ind: str) -> str:
+    i = ind + "  "
+    fields = ['"ambient_dim": %d' % s.ambient_dim, '"base": ' + _list(s.base, i)]
+    return _join(fields + ['"directions": ' + _rows(s.directions, i)], ind, "{}")
+
+
+def _cell_text(c: RelOpenCell, ind: str) -> str:
+    i, j = ind + "  ", ind + "    "
+    fields = ['"carrier": ' + _subspace_text(c.carrier, i), '"closure_vertices": ' + _rows(c.closure_vertices, i)]
+    rows = _join(['"A": ' + _rows(c.closed_A, j), '"b": ' + _list(c.closed_b, j)], i, "{}")
+    fields += ['"excluded_faces": ' + _rows(c.excluded_faces, i, "%d"), '"inequalities": ' + rows]
+    return _join(fields, ind, "{}")
+
+
+def _density_text(poly: DensityPoly, ind: str) -> str:
+    i, j = ind + "  ", ind + "    "
+    terms = [_join(['"exponents": ' + _list(e, j + "  ", "%d"), '"value": "%s"' % c], j, "{}") for e, c in poly.coefficients]
+    fields = ['"coefficients": ' + _join(terms, i), '"degree": %d' % poly.degree, '"stratum_id": %d' % poly.stratum_id]
+    return _join(fields, ind, "{}")
+
+
+def _stratum_text(st: Stratum, poly: DensityPoly | None, ind: str) -> str:
+    i = ind + "  "
+    fields = ['"adjacency": ' + _rows(st.adjacency, i, "%d"), '"carrier": ' + _subspace_text(st.carrier, i)]
+    fields.append('"cells": ' + _join([_cell_text(c, i + "  ") for c in st.cells], i))
+    if poly is not None:
+        fields.append('"density": ' + _density_text(poly, i))
+    fields += ['"dim": %d' % st.dim, '"direction": ' + _rows(st.direction, i), '"id": %d' % st.id]
+    if st.integer_direction is not None:
+        fields.append('"integer_direction": ' + _rows(st.integer_direction, i, "%d"))
+    return _join(fields, ind, "{}")
+
+
 def serialize_document(doc: StratificationDocument) -> str:
-    return dumps(document_to_json(doc))
+    """The document as ``dumps`` writes its JSON tree (docs/formats.md)."""
+    s, polys, i = doc.stratification, dict(doc.densities), "\n  "
+    prov = [_quoted(k) + ": " + _quoted(v) for k, v in sorted(dict(doc.provenance).items())]
+    strata = [_stratum_text(st, polys.get(st.id), i + "  ") for st in s.strata]
+    fields = ['"ambient_dim": %d' % s.ambient_dim, '"frontier": ' + _rows(s.frontier, i, "%d")]
+    fields += ['"provenance": ' + _join(prov, i, "{}"), '"schema": ' + _quoted(SCHEMA_STRATIFICATION)]
+    return _join(fields + ['"strata": ' + _join(strata, i)], "\n", "{}") + "\n"
 
 
 def validation_report_to_json(report: ValidationReport) -> dict:

@@ -191,9 +191,19 @@ def _zeros(vals: Sequence[int]) -> int:
 def _facets(face: int, tight: Iterable[int]) -> list[int]:
     """The facets of a face S, as bit sets of points: the maximal proper
     nonempty sets S & t over the tight sets t of valid rows among which every
-    facet of the polytope lies (every facet of S is S meet one of those)."""
+    facet of the polytope lies (every facet of S is S meet one of those).
+
+    Scanned by descending size, a set is maximal unless a maximal set
+    already found holds it; the facets keep the order of the set of meets."""
     parts = {face & t for t in tight} - {face, 0}
-    return [s for s in parts if not any(s != t and s & t == s for t in parts)]
+    maximal: set[int] = set()
+    for s in sorted(parts, key=int.bit_count, reverse=True):
+        for t in maximal:
+            if s & t == s:
+                break
+        else:
+            maximal.add(s)
+    return [s for s in parts if s in maximal]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +413,10 @@ def face_lattice(p: HPolytope) -> FaceLattice:
     for s, dim in _faces_by_incidence(tight, len(verts)).items():
         ids = tuple(i for i in range(len(verts)) if s >> i & 1)
         active = tuple(i for i, t in enumerate(tight) if s & t == s)
-        faces.append(Face(active, dim, ids, mat(verts[i] for i in ids)))
+        faces.append(Face(active, dim, ids, tuple(verts[i] for i in ids)))
     faces.append(Face(tuple(range(len(p.A))), -1, (), ()))
     faces.sort(key=lambda f: (f.dim, f.active_set, f.vertex_ids))
-    return FaceLattice(tuple(faces), mat(verts))
+    return FaceLattice(tuple(faces), tuple(verts))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from operator import mul
 from hypothesis import assume, strategies
 
 from momstrat import HPolytope, PiecewiseAffineCover, ToricAction, mat, vec
+from momstrat.io import SCHEMA_STRATIFICATION, _mat2j, _vec2j
 from momstrat.linalg import (
     AffineSubspace,
     Mat,
@@ -506,3 +507,61 @@ def all_pairs_adjacency(st: Stratum) -> tuple[tuple[int, int], ...]:
         for j, top in enumerate(st.cells)
         if top.dim == st.dim and _within_closure(low, top)
     )
+
+
+# ---------------------------------------------------------------------------
+# the document tree the one-pass writer replaced, kept as a reference
+
+
+def _subspace2j(s: AffineSubspace) -> dict:
+    return {
+        "ambient_dim": s.ambient_dim,
+        "base": _vec2j(s.base),
+        "directions": _mat2j(s.directions),
+    }
+
+
+def _cell2j(c: RelOpenCell) -> dict:
+    return {
+        "carrier": _subspace2j(c.carrier),
+        "inequalities": {"A": _mat2j(c.closed_A), "b": _vec2j(c.closed_b)},
+        "excluded_faces": [list(f) for f in c.excluded_faces],
+        "closure_vertices": _mat2j(c.closure_vertices),
+    }
+
+
+def _density2j(poly) -> dict:
+    return {
+        "stratum_id": poly.stratum_id,
+        "degree": poly.degree,
+        "coefficients": [{"exponents": list(e), "value": str(c)} for e, c in poly.coefficients],
+    }
+
+
+def document_to_json(doc) -> dict:
+    """The JSON tree of a stratification document; ``serialize_document``
+    must write ``json.dumps(tree, indent=2, sort_keys=True) + "\\n"``."""
+    s = doc.stratification
+    strata = []
+    for st in s.strata:
+        entry = {
+            "id": st.id,
+            "dim": st.dim,
+            "direction": _mat2j(st.direction),
+            "carrier": _subspace2j(st.carrier),
+            "cells": [_cell2j(c) for c in st.cells],
+            "adjacency": [list(e) for e in st.adjacency],
+        }
+        if st.integer_direction is not None:
+            entry["integer_direction"] = [[int(x) for x in row] for row in st.integer_direction]
+        poly = doc.density_for(st.id)
+        if poly is not None:
+            entry["density"] = _density2j(poly)
+        strata.append(entry)
+    return {
+        "schema": SCHEMA_STRATIFICATION,
+        "ambient_dim": s.ambient_dim,
+        "strata": strata,
+        "frontier": [list(p) for p in s.frontier],
+        "provenance": dict(doc.provenance),
+    }

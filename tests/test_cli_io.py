@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from momstrat import hamiltonian_stratification, density_polynomial
+from momstrat import density_polynomial, hamiltonian_stratification, stratify
 from momstrat.cli import main
 from momstrat.errors import ParseError
 from momstrat.io import (
@@ -18,7 +18,7 @@ from momstrat.io import (
     parse_input_file,
     serialize_document,
 )
-from support import paper_action
+from support import corpus, document_to_json, paper_action, stratification_for
 from test_output_digests import COMMANDS, DIGESTS, ROOT
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -50,6 +50,37 @@ def test_document_round_trip_bit_identical():
     parsed = parse_document(text.encode("utf-8"))
     assert parsed == doc
     assert serialize_document(parsed) == text
+
+
+def _densities(a, s):
+    return {st.id: density_polynomial(a, s, st.id, seed=0) for st in s.strata if st.dim == a.k}
+
+
+def test_serialized_document_is_the_json_dump_of_its_tree():
+    """The one-pass writer gives the text of ``json.dumps`` of the reference
+    document tree, on the corpus with and without densities, the paper
+    example, a cover document with no integer directions, an empty frontier
+    and provenance strings that JSON must escape."""
+    docs = []
+    for a in corpus():
+        s = stratification_for(a)
+        docs += [make_document(s, raw_input=b"corpus"), make_document(s, _densities(a, s), raw_input=b"corpus")]
+    a = paper_action()
+    s = hamiltonian_stratification(a)
+    # "formal!" sorts after "formal", but its quoted form sorts first
+    odd = {"formal": "true", "formal!": "1", 'k\u00e9y "[a, b]"\\\n\u2603': 'v\u00e0lue, "q" \\ [\n\U0001d11e'}
+    escaped = make_document(s, raw_input=b"paper", extra_provenance=odd)
+    no_frontier = make_document(s._replace(frontier=()), raw_input=b"paper")
+    raw = (INPUTS / "square_cover.json").read_bytes()
+    cover_doc = make_document(stratify(parse_input_file(raw)), raw_input=raw)
+    assert all(st.integer_direction is None for st in cover_doc.stratification.strata)
+    docs += [make_document(s, _densities(a, s), raw_input=b"paper"), escaped, no_frontier, cover_doc]
+    for doc in docs:
+        text = serialize_document(doc)
+        assert text == json.dumps(document_to_json(doc), indent=2, sort_keys=True) + "\n"
+    assert '"frontier": [],' in serialize_document(no_frontier)
+    text = serialize_document(escaped)
+    assert text.isascii() and serialize_document(parse_document(text.encode())) == text
 
 
 @pytest.mark.parametrize(

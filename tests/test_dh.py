@@ -74,6 +74,24 @@ def test_density_poly_rejects_wrong_point_dimension():
             xy.evaluate(point)
 
 
+def test_density_poly_evaluates_in_integers_as_the_fraction_sum():
+    # reference: the sum of c * x^e in Fraction arithmetic; the evaluation
+    # reads the degree off the terms, so a wrong degree field changes nothing
+    rng = random.Random(25)
+    for _ in range(300):
+        k = rng.randint(0, 3)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(k)): F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 40))
+            for _ in range(rng.randint(0, 6))
+        }
+        poly = DensityPoly(0, tuple(sorted(terms.items())), max(map(sum, terms), default=0))
+        x = [F(rng.randint(-30, 30), rng.randint(1, 15)) for _ in range(k)]
+        want = sum((c * math.prod((xi**e for xi, e in zip(x, expo)), start=F(1)) for expo, c in terms.items()), F(0))
+        for p in (poly, poly._replace(degree=0)):
+            value = p.evaluate(x)
+            assert type(value) is F and value == want
+
+
 def test_fiber_charts_match_tight_basis_enumeration():
     # reference: the fiber rows over x and every vertex they define, found by
     # the exhaustive tight-basis scan; both sides use the kernel-lattice

@@ -16,6 +16,7 @@ from momstrat import (
 )
 from momstrat.errors import EmptyPolytope, RankDeficient, UnboundedPolytope
 from momstrat.polyhedron import (
+    _facets,
     _SignTable,
     cell_from_closure_points,
     cell_key,
@@ -122,6 +123,18 @@ def test_face_lattice_graded_and_vertex_intersection():
             assert above
             meet = set.intersection(*(set(g.vertex_ids) for g in above))
             assert meet == set(f.vertex_ids)
+
+
+def test_facets_match_the_all_pairs_maximality_scan():
+    # reference: each meet tested for maximality against every other meet
+    rng = random.Random(7)
+    for _ in range(400):
+        count = rng.randint(1, 12)
+        tight = [rng.getrandbits(count) for _ in range(rng.randint(0, 10))]
+        face = rng.getrandbits(count) | 1 << rng.randrange(count)
+        parts = {face & t for t in tight} - {face, 0}
+        want = [s for s in parts if not any(s != t and s & t == s for t in parts)]
+        assert _facets(face, tight) == want
 
 
 def _random_product_polytope(rng):
