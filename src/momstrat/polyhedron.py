@@ -6,34 +6,38 @@ from vertex-facet incidence alone: ``_facets`` gives the facets of a face S,
 a bit set of points, as the maximal proper nonempty sets S & t over the tight
 sets t.  The face lattice, ``_cell``, ``closure_faces`` and the volume fans of
 ``dh`` all use it, with no rank.  One double-description run,
-``_double_description``, gives the extreme rays of the homogenized cone of a
-polytope in integers: ``vertices`` reads the vertices off it and
-``is_bounded`` the recession rays, with no tight-basis scan.
-``_kernel_lines`` yields the kernel line of integer rows of rank k in k + 1
-homogeneous coordinates, as an integer vector read off the fraction-free
-elimination of ``linalg`` (``_eliminate``); any nonzero multiple serves.  It
-gives the first rays of that run and, as a scan of every k rows, the
-vertices of ``enumerate_vertices`` (the Monte-Carlo oracle's own path) and
-the hyperplanes through points (``_hyperplanes``).
+``_double_description``, gives the extreme rays of a homogenized cone in
+integers, and so converts between vertices and facets both ways:
+``vertices`` reads the vertices of a polytope off it and ``is_bounded`` the
+recession rays, and ``cell_from_closure_points`` reads the facets of the
+hull of points off the run on their polar, with no scan over subsets of
+rows or points.  ``_kernel_lines`` yields the kernel line of integer rows of
+rank k in k + 1 homogeneous coordinates, as an integer vector read off the
+fraction-free elimination of ``linalg`` (``_eliminate``); any nonzero
+multiple serves.  It gives the first rays of that run and, as a scan of
+every k rows, the vertices of ``enumerate_vertices``, the Monte-Carlo
+oracle's own path.
 
 A ``RelOpenCell`` is the relative interior of a bounded rational polytope:
 a carrier affine subspace, the facet inequalities of its closure expressed in
 carrier-local coordinates, and the excluded proper faces (the facets).  Every
-cell is built by one private builder, ``_cell``, from the vertex set of its
-closure and candidate rows among which its facets lie: it keeps the rows
-that hold on every point and are tight on a maximal set of them, so equal
-cells have bit-identical encodings whatever the candidates.  Callers pass
-the rows they already hold.  ``split_cell`` builds the two sides of a cut
-in the cell's frame: they keep its carrier, and its canonical local rows
+cell is assembled by one function, ``_assemble``, from its carrier, the
+points whose hull is its closure and its facets, each a canonical local row
+with the points it is tight on; so equal cells have bit-identical encodings
+however their facets were found.  ``_cell`` finds the facets among candidate
+rows that callers already hold: the rows that hold on every point and are
+tight on a maximal set of them.  ``split_cell`` builds the two sides of a
+cut in the cell's frame: they keep its carrier, and its canonical local rows
 with their integer lifts, and only the cut is restricted and lifted; the
 piece on the cut gets the cell's integer facet rows and the cut.
 ``closure_faces`` gives a face the facet rows of the closure it came from,
-and a whole closure is that cell.  Only ``cell_from_closure_points`` tries
-every hyperplane through d affinely independent points.  The faces of a
-cell's closure are cells too, and the refinement and the frontier check
-read every such object as its closure.  The open reading adds nothing: a
-cell is the whole face of its own closure, a piece that meets the cell
-meets that closure, and both readings demand the same hyperplanes.
+and a whole closure is that cell.  ``cell_from_closure_points``, which has
+no rows to start from, reads the facets off the polar's double-description
+run.  The faces of a cell's closure are cells too, and the refinement and
+the frontier check read every such object as its closure.  The open reading
+adds nothing: a cell is the whole face of its own closure, a piece that
+meets the cell meets that closure, and both readings demand the same
+hyperplanes.
 
 This module alone decides cell membership:
 
@@ -96,12 +100,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import and_, itemgetter, le, mul
+from operator import and_, le, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
 from .linalg import (
-    ONE,
     ZERO,
     AffineSubspace,
     FrozenValue,
@@ -238,8 +241,9 @@ def _kernel_lines(rows: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, 
     k + 1) whose kernel is a line, an integer vector spanning that line, read
     off the integer elimination ``_eliminate`` of the subset: the last pivot
     at the free coordinate, minus that column's entry of each reduced row at
-    the row's pivot.  Given exactly k rows, it is one line; given more, it is
-    the tight-basis scan of ``enumerate_vertices`` and ``_hyperplanes``."""
+    the row's pivot.  Given exactly k rows, it is one line, a first ray of
+    ``_double_description``; given more, it is the tight-basis scan of
+    ``enumerate_vertices``."""
     for subset in itertools.combinations(rows, k):
         red, pivots, d = _eliminate(subset)
         if len(pivots) == k:
@@ -257,18 +261,24 @@ def _primitive(z: Sequence[int], sign: int = 1) -> tuple[int, ...]:
     return tuple(c // g for c in z)
 
 
-def _double_description(p: HPolytope) -> list[tuple[int, ...]] | None:
-    """The extreme rays (x, t) of the cone {(x, t) : a.x - beta t <= 0 for
-    every row, t >= 0}, primitive integral, by the double-description method
-    (Motzkin et al. 1953; Fukuda and Prodon 1996); None when the polytope is
-    unbounded, as the cone has a line (rank A < n) or a ray with t = 0.  The
-    rays are the vertices times t > 0, and none means empty.  The n + 1
-    first independent rows, t >= 0 first, give a simplicial cone; each other
-    row h keeps the rays r with h.r <= 0 and joins each adjacent pair with
-    h.p > 0 > h.q into (h.p) q - (h.q) p: adjacent when no other ray is tight
-    on all their common tight rows (bit sets), at least n - 1 of them."""
-    n = p.ambient_dim
-    rows = [(0,) * n + (-1,), *_integer_rows([(*a, -b) for a, b in zip(p.A, p.b)])[0]]
+def _homogeneous(rows: Iterable[Functional]) -> list[list[int]]:
+    """The integer homogeneous rows (a, -beta) of rows a.x <= beta, each
+    scaled by a positive integer, so that a.x - beta t <= 0 at (x, t)."""
+    return _integer_rows([(*a, -b) for a, b in rows])[0]
+
+
+def _double_description(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]] | None:
+    """The extreme rays (x, t) of the cone {(x, t) : h.(x, t) <= 0 for every
+    integer homogeneous row h of length n + 1, t >= 0}, primitive integral,
+    by the double-description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996); None when the polytope {x : h.(x, 1) <= 0} is unbounded, as the
+    cone has a line (rank < n + 1) or a ray with t = 0.  The rays are the
+    vertices times t > 0, and none means empty.  The n + 1 first independent
+    rows, t >= 0 first, give a simplicial cone; each other row h keeps the
+    rays r with h.r <= 0 and joins each adjacent pair with h.p > 0 > h.q into
+    (h.p) q - (h.q) p: adjacent when no other ray is tight on all their
+    common tight rows (bit sets), at least n - 1 of them."""
+    rows = [(0,) * n + (-1,), *rows]
     basis = _eliminate(list(zip(*rows)))[1]
     if len(basis) <= n:
         return None
@@ -294,7 +304,7 @@ def _double_description(p: HPolytope) -> list[tuple[int, ...]] | None:
 def is_bounded(p: HPolytope) -> bool:
     """Exact boundedness: the recession cone {r : A.r <= 0} is the origin
     alone, read off the double-description run (``_double_description``)."""
-    return _double_description(p) is not None
+    return _double_description(_homogeneous(zip(p.A, p.b)), p.ambient_dim) is not None
 
 
 def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
@@ -304,7 +314,7 @@ def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
     Candidates are kept as primitive lines with z[dim] > 0 and tested in
     integers: the point is feasible when every row has (a, -beta).z <= 0.
     It is the Monte-Carlo oracle's own path, apart from ``vertices``."""
-    ints = _integer_rows([(*a, -b) for a, b in rows])[0]
+    ints = _homogeneous(rows)
     found: set[tuple[int, ...]] = set()
     for z in _kernel_lines(ints, dim):
         if z[dim]:
@@ -317,12 +327,12 @@ def enumerate_vertices(rows: Sequence[Functional], dim: int) -> list[Vec]:
 def vertices(p: HPolytope) -> list[Vec]:
     """Exact, lexicographically sorted vertex list: the double-description
     rays divided by t.  ``UnboundedPolytope`` comes before ``EmptyPolytope``."""
-    rays = _double_description(p)
+    n = p.ambient_dim
+    rays = _double_description(_homogeneous(zip(p.A, p.b)), n)
     if rays is None:
         raise UnboundedPolytope("polytope has a nonzero recession direction")
     if not rays:
         raise EmptyPolytope("polytope has no points")
-    n = p.ambient_dim
     return sorted(tuple(Fraction(c, r[n]) for c in r[:n]) for r in rays)
 
 
@@ -541,71 +551,88 @@ class RelOpenCell(FrozenValue):
         return pts
 
 
-def _hyperplanes(local: Sequence[Vec], d: int) -> Iterable[IntRow]:
-    """Every hyperplane a.x = beta through d affinely independent points of
-    ``local``, as the integer row of the kernel line (a, beta) of their rows
-    (p, -1)."""
-    for z in _kernel_lines(_integer_rows([(*p, -ONE) for p in local])[0], d):
-        yield z[:d], z[d], 1
-
-
 def _smallest_face(facets: Iterable[int], points: int, count: int) -> int:
     """The smallest face of conv(points 0..count-1) holding ``points``: the
     meet of the facets through them, all as bit sets of points."""
     return reduce(and_, (t for t in facets if t & points == points), (1 << count) - 1)
 
 
-def _cell(
-    points: Iterable[Vec], candidates: Iterable | None, carrier: AffineSubspace | None = None
-) -> RelOpenCell:
+def _assemble(carrier: AffineSubspace, pts: Sequence[Vec], facets: dict[Functional, int]) -> RelOpenCell:
+    """The canonical cell on ``carrier`` whose closure is conv(pts), from
+    its facets: each canonical local row, holding on the points, with the
+    points it is tight on as a bit set.  The rows are sorted, and a point is
+    a closure vertex when the facets through it meet in it alone."""
+    order = sorted(facets)
+    tights = list(facets.values())
+    verts = [i for i in range(len(pts)) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
+    excluded = tuple((i,) for i in range(len(order)))
+    closure = tuple(pts[i] for i in verts)
+    return RelOpenCell(carrier, tuple(r[0] for r in order), tuple(r[1] for r in order), excluded, closure)
+
+
+def _cell(points: Iterable[Vec], candidates: Iterable, carrier: AffineSubspace | None = None) -> RelOpenCell:
     """The canonical cell whose closure is conv(points).
 
     The candidates are ambient integer rows among which every facet of
-    conv(points) lies; None means every hyperplane through d affinely
-    independent points, found and tested in carrier coordinates.  Given the
-    ``carrier``, which conv(points) spans, each candidate is a canonical
-    local row with its lift's integer row, which the cell keeps; ambient
-    points sort as their local (pivot) coordinates.  A candidate that holds
-    on every point and is tight on some cuts out a face, and every face lies
-    in a facet, so the facets are the candidates tight on a maximal set of
-    points (``_facets``); they are restricted to the carrier, oriented and
-    sorted.  A point is a closure vertex when the facets through it meet in
-    it alone.
+    conv(points) lies.  Given the ``carrier``, which conv(points) spans,
+    each candidate is a canonical local row with its lift's integer row,
+    which the cell keeps; ambient points sort as their local (pivot)
+    coordinates.  A candidate that holds on every point and is tight on some
+    cuts out a face, and every face lies in a facet, so the facets are the
+    candidates tight on a maximal set of points (``_facets``); they are
+    restricted to the carrier, oriented and sorted (``_assemble``).
     """
     pts = sorted(set(points))
-    scan, inherit = candidates is None, carrier is not None
+    inherit = carrier is not None
     carrier = carrier if inherit else AffineSubspace.from_points(pts)
-    local = [carrier.to_local(p) for p in pts] if scan else pts
-    frame = _int_points(local)
+    frame = _int_points(pts)
     faces: dict[int, tuple] = {}  # tight points as a bit set -> (candidate, holds as is)
-    for f in _hyperplanes(local, carrier.dim) if scan else candidates:
+    for f in candidates:
         vals = _excesses(f[1] if inherit else f, frame)
         lo, hi = min(vals), max(vals)
         if not (lo == hi or (lo and hi)):  # neither constant, nor through the points, nor tight on none
             faces.setdefault(_zeros(vals), (f, hi == 0))
-    rows: dict[Functional, tuple] = {}  # canonical local row -> (tight points, inherited lift)
+    facets: dict[Functional, int] = {}  # canonical local row -> tight points
     for tight in _facets((1 << len(pts)) - 1, faces):
         f, holds = faces[tight]
         if inherit:  # canonical already, and it holds on the points
-            rows[f[0]] = tight, f[1]
-            continue
-        a, b = (vec(f[0]), Fraction(f[1])) if scan else _restrict_functional(carrier, f)
-        rows[primitive_functional(*((a, b) if holds else _neg((a, b))))] = tight, None
-    order = sorted(rows.items(), key=itemgetter(0))
-    tights = [t for t, _ in rows.values()]
-    verts = [i for i in range(len(pts)) if _smallest_face(tights, 1 << i, len(pts)) == 1 << i]
-    excluded = tuple((i,) for i in range(len(order)))
-    closure = tuple(pts[i] for i in verts)
-    cell = RelOpenCell(carrier, tuple(r[0] for r, _ in order), tuple(r[1] for r, _ in order), excluded, closure)
+            facets[f[0]] = tight
+        else:
+            facets[primitive_functional(*_restrict_functional(carrier, f if holds else _neg(f)))] = tight
+    cell = _assemble(carrier, pts, facets)
     if inherit:  # the lifts the cell would derive again
-        vars(cell)["_int_facet_rows"] = tuple(lift for _, (_, lift) in order)
+        lifts = dict(f for f, _ in faces.values())
+        vars(cell)["_int_facet_rows"] = tuple(lifts[r] for r in cell.local_rows())
     return cell
 
 
 def cell_from_closure_points(points: Sequence[Vec]) -> RelOpenCell:
-    """Canonical cell whose closure is conv(points), its facets found among
-    the hyperplanes through the points."""
-    return _cell((vec(p) for p in points), None)
+    """Canonical cell whose closure is conv(points), its facets read off one
+    double-description run on the polar (Ziegler 1995, section 2.3).
+
+    In carrier coordinates, with c the centroid of the m distinct points,
+    the facets of conv(points) are a.(x - c) <= 1 for the vertices a of the
+    polar {a : (p - c).a <= 1 for every point p}, which is bounded since c
+    lies inside the hull.  Over one denominator D, with T the sum of the
+    points' numerators n_p, its rows are (m n_p - T, -m D) in integers, and
+    a ray (a, t) gives the row a.x <= (t m D + a.T) / (m D), canonical once
+    divided by the gcd g of a.  In R^0 the hull has no facet."""
+    pts = sorted({vec(p) for p in points})
+    if not pts:
+        raise EmptyPolytope("the hull of no points is empty")
+    if len({len(p) for p in pts}) > 1:
+        raise DimensionMismatch("closure points of different dimensions")
+    carrier = AffineSubspace.from_points(pts)
+    nums, den = frame = _int_points(carrier.to_local(p) for p in pts)
+    d, m = carrier.dim, len(nums)
+    total = [sum(col) for col in zip(*nums)]
+    rays = _double_description([(*(m * c - s for c, s in zip(n, total)), -m * den) for n in nums], d) if d else ()
+    facets: dict[Functional, int] = {}  # canonical local row -> tight points
+    for r in rays:
+        a, g = r[:d], gcd(*r[:d])
+        row = tuple(c // g for c in a), r[d] * m * den + sum(map(mul, a, total)), m * den * g
+        facets[tuple(map(Fraction, row[0])), Fraction(row[1], row[2])] = _zeros(_excesses(row, frame))
+    return _assemble(carrier, pts, facets)
 
 
 def cell_key(c: RelOpenCell):

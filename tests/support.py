@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import and_, mul
 
 from hypothesis import assume, strategies
 
@@ -15,6 +15,7 @@ from momstrat.linalg import (
     AffineSubspace,
     Mat,
     Vec,
+    _integer_rows,
     dot,
     is_zero_vec,
     mat_vec,
@@ -28,10 +29,13 @@ from momstrat.polyhedron import (
     _bbox,
     _bbox_disjoint,
     _excesses,
+    _facets,
     _int_points,
+    _kernel_lines,
     _lift_functional,
     _SignTable,
     _split_by,
+    _zeros,
     cell_from_closure_points,
     cell_key,
     project_relint,
@@ -373,6 +377,45 @@ def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:
                 if m._holds(s, strict=True):
                     inside[i] |= bit
     return tuple(zip(inside, closure))
+
+
+# ---------------------------------------------------------------------------
+# the hyperplane scan the polar double description replaced, kept as a reference
+
+
+def scanned_hull_cell(points) -> RelOpenCell:
+    """The canonical cell whose closure is conv(points), its facets found by
+    scanning, in carrier coordinates, every hyperplane a.x = beta through d
+    affinely independent points: the kernel line of their rows (p, -1).  A
+    hyperplane with every point weakly on one side and tight on a maximal
+    set of them is a facet; a point is a closure vertex when the facets
+    through it meet in it alone.  C(V, d) eliminations for V points."""
+    pts = sorted({vec(p) for p in points})
+    carrier = AffineSubspace.from_points(pts)
+    local = [carrier.to_local(p) for p in pts]
+    frame, d, everything = _int_points(local), carrier.dim, (1 << len(pts)) - 1
+    faces = {}  # tight points as a bit set -> (kernel line, holds as is)
+    for z in _kernel_lines(_integer_rows([(*p, -1) for p in local])[0], d):
+        vals = _excesses((z[:d], z[d], 1), frame)
+        lo, hi = min(vals), max(vals)
+        if not (lo == hi or (lo and hi)):
+            faces.setdefault(_zeros(vals), (z, hi == 0))
+    rows = {}  # canonical local row -> tight points
+    for tight in _facets(everything, faces):
+        z, holds = faces[tight]
+        sign = 1 if holds else -1
+        rows[primitive_functional(vec(sign * c for c in z[:d]), Fraction(sign * z[d]))] = tight
+    order = sorted(rows)
+    verts = [
+        p for i, p in enumerate(pts) if reduce(and_, (t for t in rows.values() if t >> i & 1), everything) == 1 << i
+    ]
+    return RelOpenCell(
+        carrier,
+        tuple(a for a, _ in order),
+        tuple(b for _, b in order),
+        tuple((i,) for i in range(len(order))),
+        tuple(verts),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momstrat import (
     HPolytope,
@@ -14,7 +16,7 @@ from momstrat import (
     vec,
     vertices,
 )
-from momstrat.errors import EmptyPolytope, RankDeficient, UnboundedPolytope
+from momstrat.errors import DimensionMismatch, EmptyPolytope, RankDeficient, UnboundedPolytope
 from momstrat.polyhedron import (
     _facets,
     _SignTable,
@@ -32,6 +34,7 @@ from support import (
     paper_action,
     prism_polytope,
     random_toric_instance,
+    scanned_hull_cell,
     segment_cell,
     simplex2_scaled,
     unit_square,
@@ -370,8 +373,52 @@ def test_cell_from_closure_points_is_exact():
 
 
 def test_cell_contains_dimension_mismatch():
-    from momstrat.errors import DimensionMismatch
-
     seg = segment_cell([1, 0], [1, 3])
     with pytest.raises(DimensionMismatch):
         seg.contains(vec([1, 2, 3]))
+
+
+def test_cell_from_no_points_is_empty():
+    with pytest.raises(EmptyPolytope):
+        cell_from_closure_points([])
+
+
+def test_cell_from_ragged_points_is_refused():
+    with pytest.raises(DimensionMismatch):
+        cell_from_closure_points([[0, 0], [1]])
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points in R^1..R^4 on a carrier of any dimension up to n:
+    a base point plus rational combinations of d rational directions, drawn
+    with repeats (so collinear, coplanar and single points come up), or the
+    d + 1 vertices of a simplex; entries have mixed denominators."""
+    n = draw(st.integers(1, 4))
+    d = n - draw(st.integers(0, n))
+    rational = st.fractions(-3, 3, max_denominator=6)
+    base = [draw(rational) for _ in range(n)]
+    dirs = [[draw(rational) for _ in range(n)] for _ in range(d)]
+    if draw(st.booleans()):
+        mixes = [[F(0)] * d] + [[F(i == j) for j in range(d)] for i in range(d)]
+    else:
+        pool = draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=2, max_size=8))
+        mixes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    return [[b + sum(c * v[i] for c, v in zip(mix, dirs)) for i, b in enumerate(base)] for mix in mixes]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(point_sets())
+@example([[0, 0], [0, 1], [1, 0], [1, 1]])
+@example(list(itertools.product((0, 1), repeat=4)))
+def test_cell_from_closure_points_matches_the_hyperplane_scan(points):
+    cell, ref = cell_from_closure_points(points), scanned_hull_cell(points)
+    fields = ("carrier", "closed_A", "closed_b", "excluded_faces", "closure_vertices")
+    assert [getattr(cell, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert cell_key(cell) == cell_key(ref)
+
+
+def test_cell_of_the_5_cube_vertices_is_found_without_a_hyperplane_scan():
+    # the scan tried C(32, 5) = 201,376 hyperplanes through the 32 vertices
+    cell = cell_from_closure_points(list(itertools.product((0, 1), repeat=5)))
+    assert (len(cell.closed_A), len(cell.closure_vertices)) == (10, 32)

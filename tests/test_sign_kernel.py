@@ -295,7 +295,8 @@ def test_polytope_volume_on_bit_set_tight_sets_matches_closed_forms(blocks):
 
 def test_known_rows_and_hyperplane_scan_build_the_same_cells():
     # pieces come from facet rows and cuts, closure faces from the closure's
-    # facet rows; the scan tries every hyperplane through the closure vertices
+    # facet rows; cell_from_closure_points reads them off the polar's
+    # double-description run on the closure vertices
     assert len(pool()) == 344
     for cell in pool():
         assert cell == cell_from_closure_points(cell.closure_vertices)

@@ -167,7 +167,7 @@ def box_with_cuts(extra: int, seed: int):
 def test_double_description_of_an_18_row_box_in_r4_keeps_primitive_extreme_rays():
     rows, offsets = box_with_cuts(10, seed=3)
     p = HPolytope.from_rows(rows, offsets)
-    rays = _double_description(p)
+    rays = _double_description([(*a, -b) for a, b in zip(rows, offsets)], 4)
     assert all(gcd(*r) == 1 and r[4] > 0 for r in rays)
     assert sorted(tuple(F(c, r[4]) for c in r[:4]) for r in rays) == enumerate_vertices(list(zip(p.A, p.b)), 4)
 
