@@ -6,7 +6,9 @@ open in its affine hull (true by construction of ``RelOpenCell``), and the
 closure of each member inside the support is again a union of members.
 Membership in each member and in its closure is constant on every piece, so
 ``incidence`` reads it once, at one sample point per piece, as bit sets that
-validation and the direction field share.
+validation and the direction field share; the sample points are located in
+one batch by ``polyhedron._located``, which ``membership_signature`` calls
+with one point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, PointOutsideSupport
 from .linalg import FrozenValue, Vec, vec
-from .polyhedron import RelOpenCell, _box_pairs, _refine_engine
+from .polyhedron import RelOpenCell, _interiors, _located, _refine_engine
 
 
 class PiecewiseAffineCover(FrozenValue):
@@ -41,19 +43,14 @@ class PiecewiseAffineCover(FrozenValue):
     @cached_property
     def incidence(self) -> tuple[tuple[int, int], ...]:
         """Per member, the bit sets over ``pieces`` of the pieces inside it
-        and of those inside its closure (bit j for ``pieces[j]``).  A piece's
-        sample point is tested only against the members whose box holds it:
-        the box sweep ``_box_pairs`` pairs the member boxes with the sample
-        points, read as boxes of one point, and each pair is classified by one
-        ``_worst_excess``."""
+        and of those inside its closure (bit j for ``pieces[j]``): the
+        pieces' sample points located among the members in one batch
+        (``polyhedron._located``)."""
         inside, closure = [0] * len(self.members), [0] * len(self.members)
-        samples = [p._int_sample for p in self.pieces]
-        for i, j in _box_pairs([c.bbox for c in self.members], [(n, n, e) for n, e in samples]):
-            worst = self.members[i]._worst_excess(samples[j])
-            if worst is not None and worst <= 0:
-                closure[i] |= 1 << j
-                if worst < 0:
-                    inside[i] |= 1 << j
+        for i, j, worst in _located(self.members, [p._int_sample for p in self.pieces]):
+            closure[i] |= 1 << j
+            if worst < 0:
+                inside[i] |= 1 << j
         return tuple(zip(inside, closure))
 
     @cached_property
@@ -108,8 +105,7 @@ def validate(c: PiecewiseAffineCover) -> ValidationReport:
 
 def membership_signature(c: PiecewiseAffineCover, x) -> tuple[int, ...]:
     """The exact index set {i : x in P_i}; raises when x misses the support."""
-    point = c.members[0]._int_point(vec(x))  # converted once, shared by every member
-    sig = tuple(i for i, m in enumerate(c.members) if m._holds(point, strict=True))
+    sig = tuple(_interiors(c.members, [c.members[0]._int_point(vec(x))])[0])
     if not sig:
         raise PointOutsideSupport(f"{x} lies in no cover member")
     return sig

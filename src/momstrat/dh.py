@@ -18,7 +18,9 @@ as integer rows over one denominator, built once per action, and the
 vertices over x are the chart values, in integers, of the faces whose
 projected relative interior contains x: one vertex per face, with no
 duplicates, and a polytope row tight at a vertex exactly when it is active on
-that vertex's face.
+that vertex's face.  Those projected faces are found by
+``polyhedron._located``, the package's one point-location routine; a
+chamber's first point and its held-out points are located in one batch.
 
 The volume is exact and comes from a triangulation driven by vertex-facet
 incidence (Bueler-Enge-Fukuda, "Exact volume computation for polytopes"):
@@ -60,6 +62,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFiber,
     InterpolationInconsistent,
+    MomstratError,
     NotTopDimensional,
 )
 from .linalg import (
@@ -172,29 +175,33 @@ def polytope_volume(tight: Sequence[int], verts: IntPoints, d: int) -> Fraction:
     return Fraction(total, den**d * math.factorial(d))
 
 
-def _fiber_at(a: ToricAction, point: Vec) -> tuple[list, list[int]]:
-    """The charts of the fiber vertices over the point and, per polytope row,
-    the vertices it is tight at as a bit set: a row is tight at a vertex
-    exactly when it is active on that vertex's face."""
-    hits = a.fiber_charts.over(point)
+def _tight_at(a: ToricAction, point: Vec, hits: list) -> list[int]:
+    """Per polytope row, the fiber vertices over the point it is tight at, as
+    a bit set over ``hits``, the charts over the point: a row is tight at a
+    vertex exactly when it is active on that vertex's face."""
     if not hits:
         raise EmptyFiber(f"fiber over {point} is empty")
     tight = [0] * len(a.polytope.A)
     for j, chart in enumerate(hits):
         for i in chart.active_set:
             tight[i] |= 1 << j
-    return hits, tight
+    return tight
 
 
 def fiber_volume(a: ToricAction, x) -> FiberVolume:
     """Lattice-normalized exact volume of the momentum fiber over x.
 
     The vertices come from the action's fiber charts, one per face whose
-    projected relative interior contains x (``_fiber_at``), evaluated at
-    x = n / q in integers over lcm(den) * q.
+    projected relative interior contains x (``FiberCharts.over``), evaluated
+    at x = n / q in integers over lcm(den) * q (``_volume``).
     """
     point = _fiber_point(a, x)
-    hits, tight = _fiber_at(a, point)
+    return _volume(a, point, a.fiber_charts.over(point))
+
+
+def _volume(a: ToricAction, point: Vec, hits: list) -> FiberVolume:
+    """``fiber_volume`` at the point, given the charts over it."""
+    tight = _tight_at(a, point, hits)
     (n,), q = _int_points((point,))
     m = math.lcm(*(chart.den for chart in hits))
     verts = [[(r[0] * q + sum(map(operator.mul, r[1:], n))) * (m // c.den) for r in c.rows] for c in hits]
@@ -252,9 +259,9 @@ def _fan_determinants(rows: list, simplices: list[tuple[int, ...]], d: int, step
     return out
 
 
-def _fan_density(a: ToricAction, stratum_id: int, x0: Vec) -> tuple[dict, int]:
+def _fan_density(a: ToricAction, stratum_id: int, x0: Vec, hits: list) -> tuple[dict, int]:
     """The fiber volume as a polynomial in x on the chamber through x0, as
-    (packed integer coefficients, denominator).
+    (packed integer coefficients, denominator), given the charts over x0.
 
     The charts over x0 and their fan stay fixed on the chamber, and every
     fan simplex starts at vertex 0, so the volume is the sum over the fan of
@@ -262,7 +269,7 @@ def _fan_density(a: ToricAction, stratum_id: int, x0: Vec) -> tuple[dict, int]:
     x and each sign read at x0.
     """
     d, k = a.n - a.k, a.k
-    hits, tight = _fiber_at(a, x0)
+    tight = _tight_at(a, x0, hits)
     if d == 0:
         return {0: 1}, 1  # the fiber is a point, of volume 1 as in polytope_volume
     simplices = _incidence_fan(list(set(tight)), (1 << len(hits)) - 1, {})
@@ -300,32 +307,38 @@ def density_polynomial(
     """The fiber volume on a chamber as a polynomial of degree <= n-k, read
     off the fan of the fiber over the chamber's first stream point
     (``_fan_density``) and verified, by exact equality, against the
-    independent ``fiber_volume`` at max(k + 1, 3) further interior points.
+    independent per-point fiber volume at max(k + 1, 3) further distinct
+    interior points.  The first point and the held-out ones are drawn first
+    and located together (``FiberCharts._over_each``): location is
+    geometric, so the checks stay independent of the stratification and the
+    fan.
 
     For k = 0 the stratum is the one point of R^0, so there is no held-out
     point: the density is the constant fiber volume there."""
+    if not 0 <= stratum_id < len(s.strata):
+        raise MomstratError(f"no stratum {stratum_id}: the stratification has {len(s.strata)} strata")
     stratum = s.strata[stratum_id]
     if stratum.dim != a.k:
         raise NotTopDimensional(
             f"stratum {stratum_id} has dimension {stratum.dim}, expected {a.k}"
         )
     stream = _stratum_point_stream(stratum, seed + 7919 * stratum_id)
-    x0 = next(stream)
-    total, den = _fan_density(a, stratum_id, x0)
+    holdout = max(a.k + 1, 3) if a.k else 0
+    points: list[Vec] = []  # the first point, then the held-out ones
+    while len(points) <= holdout:
+        x = next(stream)
+        if x not in points:
+            points.append(x)
+    charts = a.fiber_charts._over_each(points)
+    total, den = _fan_density(a, stratum_id, points[0], charts[0])
     d = a.n - a.k
     terms = sorted(
         ((_unpack(key, d, a.k), Fraction(c, den)) for key, c in total.items() if c),
         key=lambda t: (sum(t[0]), t[0]),
     )
     poly = DensityPoly(stratum_id, tuple(terms), max((sum(e) for e, _ in terms), default=0))
-    holdout = max(a.k + 1, 3) if a.k else 0
-    used = {x0}
-    while len(used) <= holdout:
-        x = next(stream)
-        if x in used:
-            continue
-        used.add(x)
-        if poly.evaluate(x) != fiber_volume(a, x).volume:
+    for x, hits in zip(points[1:], charts[1:]):
+        if poly.evaluate(x) != _volume(a, x, hits).volume:
             raise InterpolationInconsistent(
                 f"stratum {stratum_id}: held-out point {x} disagrees with the fan density"
             )
@@ -350,6 +363,8 @@ def mc_fiber_volume(a: ToricAction, x, trials: int, seed: int) -> MCVolume:
     Samples uniformly in the bounding box of the fiber in kernel-lattice
     coordinates; reproducible for a fixed seed.
     """
+    if trials < 1:
+        raise MomstratError(f"the Monte-Carlo oracle needs a positive number of trials, got {trials}")
     import numpy as np  # only the oracle needs it; kept out of ``import momstrat``
 
     point = _fiber_point(a, x)

@@ -59,9 +59,13 @@ This module alone decides cell membership:
   check builds one over the stratification's cells and ANDs them by
   stratum, so that one test rejects a stratum pair; a table lives for that
   one call;
-- which boxes meet?  One sweep, ``_box_pairs``, pairs the cover's members
-  with the pieces' sample points (``incidence``), the refinement's objects
-  with its pieces, and the frontier check's strata with each other;
+- which cells of a family hold each of a batch of points?  ``_located``,
+  which the cover's incidence table and membership signatures, the fiber
+  charts and face images over a point, and the strata read: one box sweep
+  for a batch, and the box test of ``RelOpenCell._holds`` per cell for one;
+- which boxes meet?  One sweep, ``_box_pairs``, pairs a family of cells with
+  a batch of points (``_located``), the refinement's objects with its
+  pieces, and the frontier check's strata with each other;
 - does the relatively open x meet the closure of a cell?  ``meets``, which
   both the refinement and the frontier check call with the table they
   built, after ``within``.  The refinement's pieces are plain cells with no
@@ -500,18 +504,24 @@ class RelOpenCell(FrozenValue):
     def _holds(self, x: IntPoint, strict: bool) -> bool:
         """x lies on the carrier and inside every facet row, strictly when
         ``strict``: in the relative interior, or else in the closure."""
-        (n, d), (lo, hi, e) = x, self.bbox
-        if not all(l * d <= c * e <= h * d for l, c, h in zip(lo, n, hi)):
-            return False
-        worst = self._worst_excess(x)
+        worst = self._boxed_excess(x)
         return worst is not None and worst < (0 if strict else 1)  # excesses are integers
+
+    def _boxed_excess(self, x: IntPoint) -> int | None:
+        """``_worst_excess`` at x after the box test: None when x is outside
+        the bounding box too.  The one-point test of ``_located``."""
+        (n, d), (lo, hi, e) = x, self.bbox
+        for l, c, h in zip(lo, n, hi):
+            if not l * d <= c * e <= h * d:
+                return None
+        return self._worst_excess(x)
 
     def _worst_excess(self, x: IntPoint) -> int | None:
         """None when x is off the carrier, else the largest facet-row excess
         at x (-1 with no facet rows), or the first positive one: at most 0 in
         the closure, below 0 in the relative interior.  The one kernel of
-        every point test: ``_holds`` reads it after its box test, and the
-        cover's incidence table, whose box sweep has tested the boxes, reads
+        every point test: ``_boxed_excess`` reads it after its box test, and
+        ``_located`` on a batch, whose box sweep has tested the boxes, reads
         it alone."""
         n, d = x
         if any(_excess(r, n, d) for r in self._int_equations):
@@ -755,6 +765,38 @@ def _box_pairs(left: Sequence[Box], right: Sequence[Box]) -> Iterator[tuple[int,
         for lo2, hi2, j in b[bisect_right(b_starts, lo[0]) : bisect_right(b_starts, hi[0])]:
             if all(map(le, lo, hi2)) and all(map(le, lo2, hi)):
                 yield i, j
+
+
+def _located(cells: Sequence[RelOpenCell], points: Sequence[IntPoint]) -> Iterator[tuple[int, int, int]]:
+    """(i, j, ``_worst_excess``) for each cell i whose closure holds point j:
+    the excess is below 0 when the point is in the relative interior.  The
+    caller has checked the points' dimension.
+
+    A batch is paired with the cells by one box sweep (``_box_pairs``), the
+    points read as boxes of one point, in the sweep's order.  One point is
+    tested cell by cell, in the cells' order (``_boxed_excess``): sorting
+    the boxes for a single point costs more than the tests it spares."""
+    if len(points) == 1:
+        x = points[0]
+        for i, cell in enumerate(cells):
+            worst = cell._boxed_excess(x)
+            if worst is not None and worst <= 0:
+                yield i, 0, worst
+        return
+    for i, j in _box_pairs([c.bbox for c in cells], [(n, n, d) for n, d in points]):
+        worst = cells[i]._worst_excess(points[j])
+        if worst is not None and worst <= 0:
+            yield i, j, worst
+
+
+def _interiors(cells: Sequence[RelOpenCell], points: Sequence[IntPoint]) -> list[list[int]]:
+    """Per point, the indices of the cells whose relative interior holds it,
+    in the cells' order (``_located``)."""
+    found: list[list[int]] = [[] for _ in points]
+    for i, j, worst in _located(cells, points):
+        if worst < 0:
+            found[j].append(i)
+    return [sorted(f) for f in found]
 
 
 def _box_union(boxes: Sequence[Box]) -> Box:

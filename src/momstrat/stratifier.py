@@ -21,14 +21,16 @@ import random
 from itertools import cycle, islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCover, NonIntegrable
-from .cover import PiecewiseAffineCover, membership_signature
+from .errors import InvalidCover, NonIntegrable, PointOutsideSupport
+from .cover import PiecewiseAffineCover
 from .linalg import AffineSubspace, Mat, Vec, direction_intersect
 from .polyhedron import (
     RelOpenCell,
     _box_pairs,
     _box_union,
     _face_sets,
+    _interiors,
+    _located,
     _SignTable,
     cell_key,
     meets,
@@ -49,12 +51,10 @@ class Stratum(NamedTuple):
         return self.cells[0].sample_point()
 
     def contains(self, x: Vec) -> bool:
-        point = self.cells[0]._int_point(x)  # converted once, shared by every cell
-        return any(cell._holds(point, strict=True) for cell in self.cells)
+        return any(worst < 0 for _, _, worst in _located(self.cells, [self.cells[0]._int_point(x)]))
 
     def closure_contains(self, x: Vec) -> bool:
-        point = self.cells[0]._int_point(x)
-        return any(cell._holds(point, strict=False) for cell in self.cells)
+        return next(_located(self.cells, [self.cells[0]._int_point(x)]), None) is not None
 
 
 class Stratification(NamedTuple):
@@ -264,15 +264,23 @@ def verify_tangent_condition(
     s: Stratification, c: PiecewiseAffineCover, samples_per_stratum: int = 5
 ) -> TangentReport:
     """At rational samples of each stratum, the stratum direction must equal
-    the intersection of the directions of all members through the sample."""
-    checked = 0
+    the intersection of the directions of all members through the sample.
+    Every sample is drawn first, and all are located among the members in
+    one batch (``polyhedron._located``)."""
+    samples = [
+        (stratum, x)
+        for stratum in (s.strata if samples_per_stratum > 0 else ())
+        for x in [
+            stratum.sample_point(),
+            *islice(_stratum_point_stream(stratum, 0xC0FFEE + stratum.id), samples_per_stratum - 1),
+        ]
+    ]
+    sigs = _interiors(c.members, [c.members[0]._int_point(x) for _, x in samples])
     mismatches = []
-    for stratum in s.strata if samples_per_stratum > 0 else ():
-        stream = _stratum_point_stream(stratum, 0xC0FFEE + stratum.id)
-        for x in [stratum.sample_point(), *islice(stream, samples_per_stratum - 1)]:
-            sig = membership_signature(c, x)
-            found = direction_intersect([c.members[j].carrier for j in sig])
-            checked += 1
-            if found != stratum.direction:
-                mismatches.append(TangentMismatch(stratum.id, x, stratum.direction, found))
-    return TangentReport(checked, tuple(mismatches))
+    for (stratum, x), sig in zip(samples, sigs):
+        if not sig:
+            raise PointOutsideSupport(f"{x} lies in no cover member")
+        found = direction_intersect([c.members[j].carrier for j in sig])
+        if found != stratum.direction:
+            mismatches.append(TangentMismatch(stratum.id, x, stratum.direction, found))
+    return TangentReport(len(samples), tuple(mismatches))

@@ -10,7 +10,7 @@ projection of an open face, so the whole cover machinery applies verbatim.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cover import PiecewiseAffineCover
 from .errors import (
@@ -47,6 +47,7 @@ from .polyhedron import (
     Face,
     HPolytope,
     RelOpenCell,
+    _interiors,
     cell_from_closure_points,
     cell_key,
 )
@@ -215,8 +216,19 @@ class FiberCharts(NamedTuple):
 
     def over(self, x: Vec) -> list[FiberChart]:
         """The charts of the fiber vertices over x, one per vertex."""
-        point = self.cells[0][0]._int_point(x)  # converted once, shared by every cell
-        return [chart for cell, charts in self.cells if cell._holds(point, strict=True) for chart in charts]
+        return _through(self.cells, [x])[0]
+
+    def _over_each(self, xs: Sequence[Vec]) -> list[list[FiberChart]]:
+        """``over`` at each point, all located in one call (``_through``)."""
+        return _through(self.cells, xs)
+
+
+def _through(table: Sequence[tuple[RelOpenCell, tuple]], xs: Sequence[Vec]) -> list[list]:
+    """Per point, the entries that a table of (cell, entries) pairs gives
+    the cells whose relative interior holds it, in table order
+    (``polyhedron._interiors``)."""
+    found = _interiors([cell for cell, _ in table], [table[0][0]._int_point(x) for x in xs])
+    return [[entry for i in hits for entry in table[i][1]] for hits in found]
 
 
 def fiber_vertex_charts(a: ToricAction) -> FiberCharts:
@@ -264,8 +276,7 @@ def hamiltonian_stratification(a: ToricAction) -> Stratification:
 
 def faces_through(a: ToricAction, x: Vec) -> list[Face]:
     """The faces whose projected open face holds x, each image tested once."""
-    point = a.face_images[0][0]._int_point(x)  # converted once, shared by every image
-    return [f for cell, faces in a.face_images if cell._holds(point, strict=True) for f in faces]
+    return _through(a.face_images, [x])[0]
 
 
 def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:
@@ -277,12 +288,11 @@ def isotropy_at(a: ToricAction, x) -> list[IsotropyData]:
 
 
 def regular_locus(a: ToricAction, s: Stratification) -> set[int]:
-    """Stratum ids over which every contributing face has zero isotropy."""
+    """Stratum ids over which every contributing face has zero isotropy,
+    read at every cell's sample point, all located in one call."""
     if not a.is_effective():
         raise NonEffectiveAction("regular locus is only defined for effective actions")
     singular = {f for f, iso in a.face_isotropy.items() if iso.isotropy_rank != 0}
-    return {
-        st.id
-        for st in s.strata
-        if not any(f in singular for cell in st.cells for f in faces_through(a, cell.sample_point()))
-    }
+    cells = [(st.id, cell) for st in s.strata for cell in st.cells]
+    faces = _through(a.face_images, [cell.sample_point() for _, cell in cells])
+    return {st.id for st in s.strata} - {i for (i, _), fs in zip(cells, faces) if not singular.isdisjoint(fs)}

@@ -379,6 +379,18 @@ def all_pairs_incidence(cover) -> tuple[tuple[int, int], ...]:
     return tuple(zip(inside, closure))
 
 
+def all_pairs_located(cells, points) -> set[tuple[int, int, bool]]:
+    """``polyhedron._located`` as a set of (cell index, point index, in the
+    relative interior), with every integer point tested against every cell
+    by ``_holds``, with no index."""
+    return {
+        (i, j, cell._holds(x, strict=True))
+        for j, x in enumerate(points)
+        for i, cell in enumerate(cells)
+        if cell._holds(x, strict=False)
+    }
+
+
 # ---------------------------------------------------------------------------
 # the hyperplane scan the polar double description replaced, kept as a reference
 

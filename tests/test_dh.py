@@ -19,7 +19,13 @@ from momstrat import (
 )
 from momstrat import dh
 from momstrat.dh import DensityPoly, polytope_volume
-from momstrat.errors import DimensionMismatch, EmptyFiber, InterpolationInconsistent, NotTopDimensional
+from momstrat.errors import (
+    DimensionMismatch,
+    EmptyFiber,
+    InterpolationInconsistent,
+    MomstratError,
+    NotTopDimensional,
+)
 from momstrat.linalg import dot
 from momstrat.polyhedron import _int_points, enumerate_vertices, tight_sets
 from support import (
@@ -195,16 +201,18 @@ def test_polytope_volume_flat_box_is_zero():
 
 
 def _wrong_volume(monkeypatch):
-    """Patch ``dh.fiber_volume`` to report one more than the true volume, and
-    return the list the points it was asked about are appended to."""
-    real, asked = dh.fiber_volume, []
+    """Patch ``dh._volume``, the per-point fiber volume given the charts over
+    the point, which ``fiber_volume`` and the held-out checks share, to report
+    one more than the true volume, and return the list the points it was
+    asked about are appended to."""
+    real, asked = dh._volume, []
 
-    def wrong(a, x):
+    def wrong(a, x, hits):
         asked.append(vec(x))
-        got = real(a, x)
+        got = real(a, x, hits)
         return got._replace(volume=got.volume + 1)
 
-    monkeypatch.setattr(dh, "fiber_volume", wrong)
+    monkeypatch.setattr(dh, "_volume", wrong)
     return asked
 
 
@@ -246,13 +254,13 @@ def test_fan_is_constant_on_every_chamber_and_held_out_count(monkeypatch):
     their active sets and the fan, are the same at the sample point of every
     cell of a chamber.  Each chamber density costs exactly max(k + 1, 3)
     independent fiber volumes, its held-out checks."""
-    real, calls = dh.fiber_volume, []
+    real, calls = dh._volume, []
 
-    def counted(a, x):
+    def counted(a, x, hits):
         calls.append(x)
-        return real(a, x)
+        return real(a, x, hits)
 
-    monkeypatch.setattr(dh, "fiber_volume", counted)
+    monkeypatch.setattr(dh, "_volume", counted)
     chambers = 0
     for a in (paper_action(), *corpus()):
         s = stratification_for(a)
@@ -329,6 +337,17 @@ def test_density_polynomial_rejects_lower_strata():
         density_polynomial(a, s, low.id)
 
 
+def test_density_polynomial_rejects_stratum_ids_out_of_range():
+    # -1 once gave the last stratum's density, labelled -1 and drawn with
+    # another seed, and an id past the end a bare IndexError
+    a = paper_action()
+    s = hamiltonian_stratification(a)
+    count = len(s.strata)
+    for bad in (-1, -count, count, count + 5):
+        with pytest.raises(MomstratError, match=f"^no stratum {bad}: the stratification has {count} strata$"):
+            density_polynomial(a, s, bad)
+
+
 def test_density_matches_fiber_volume_on_fresh_points():
     rng = random.Random(4242)
     a = paper_action()
@@ -388,6 +407,15 @@ def test_mc_oracle_reproducible():
     e1 = mc_fiber_volume(a, ["1/2", 1], trials=5000, seed=99)
     e2 = mc_fiber_volume(a, ["1/2", 1], trials=5000, seed=99)
     assert e1 == e2
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_mc_oracle_rejects_non_positive_trials(trials):
+    # 0 once raised ZeroDivisionError and -5 numpy's "negative dimensions";
+    # a point fiber (n = k) returned an estimate over no trials
+    for a, x in ((paper_action(), ["1/2", 1]), (square_identity_action(), ["1/2", "1/2"])):
+        with pytest.raises(MomstratError, match=f"positive number of trials, got {trials}$"):
+            mc_fiber_volume(a, x, trials=trials, seed=0)
 
 
 def test_mc_oracle_degenerate_fiber():

@@ -4,7 +4,8 @@ closure vertices), ``meets`` and the sign table against vertex enumeration,
 the sign table against the pairwise separation test it replaced and its
 vertex-signed bit sets against bit sets evaluated key by key per cell, and
 the incidence routines (bit-set tight sets, face dimensions by descent, fan
-volumes) against ranks and closed forms; and the box sweep against all pairs."""
+volumes) against ranks and closed forms; and the box sweep and the point
+location built on it against all pairs."""
 
 import math
 from fractions import Fraction
@@ -20,6 +21,8 @@ from momstrat.polyhedron import (
     _box_pairs,
     _faces_by_incidence,
     _int_points,
+    _interiors,
+    _located,
     _SignTable,
     _split_by,
     cell_from_closure_points,
@@ -31,6 +34,7 @@ from momstrat.polyhedron import (
     vertices,
 )
 from support import (
+    all_pairs_located,
     ambient_rows,
     closures_separated,
     corpus,
@@ -193,6 +197,74 @@ def test_box_pairs_on_touching_faces_points_and_r0():
     boxes = [square, touching, point_beyond]
     assert sorted(_box_pairs(boxes, boxes)) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
     assert sorted(_box_pairs([((), (), 1)] * 2, [((), (), 3)])) == [(0, 0), (1, 0)]
+
+
+@lru_cache(maxsize=None)
+def located_families():
+    """Pool cells by ambient dimension, with the cover members, pieces and
+    closure faces of a circle action (R^1) and the one cell of R^0."""
+    circle = random_toric_instance(1031).cover
+    line = list(circle.members) + list(circle.pieces) + closure_faces(circle.members)
+    families = {0: [cell_from_closure_points([()])], 1: sorted(set(line), key=lambda c: c.closure_vertices)}
+    return families | {n: by_ambient_dim(n) for n in (2, 3)}
+
+
+@st.composite
+def cells_and_points(draw):
+    """Up to 10 cells of one ambient dimension and a batch of 0, 1 or up to
+    8 integer points, each over its own denominator: a mix of a cell's
+    closure vertices (zero weights reach facets, one weight a vertex),
+    moved by a small shift or far outside every box."""
+    family = located_families()[draw(st.integers(min_value=0, max_value=3))]
+    picks = draw(st.lists(st.integers(min_value=0), min_size=1, max_size=10))
+    chosen = [family[i % len(family)] for i in picks]
+    points = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 5, 8]))):
+        verts = draw(st.sampled_from(chosen)).closure_vertices
+        kind = draw(st.sampled_from(["mix", "vertex", "shift", "outside"]))
+        w = [1] if kind == "vertex" else draw(weights)
+        w = [w[i % len(w)] if kind != "vertex" or i == 0 else 0 for i in range(len(verts))]
+        if not any(w):
+            w[0] = 1
+        x = tuple(sum(F(wi, sum(w)) * v[j] for wi, v in zip(w, verts)) for j in range(len(verts[0])))
+        if kind == "shift":
+            x = tuple(c + t for c, t in zip(x, draw(shifts)))
+        elif kind == "outside":
+            x = tuple(c + 1000 for c in x)
+        (n,), d = _int_points((x,))
+        points.append((n, d))
+    return chosen, points
+
+
+@SETTINGS
+@given(cells_and_points())
+def test_located_matches_all_pairs(case):
+    """The sweep of a batch and the cell-by-cell test of one point give the
+    pairs that every point tested against every cell gives, once each, and
+    one point comes in the cells' order."""
+    cells, points = case
+    found = list(_located(cells, points))
+    assert len(found) == len({(i, j) for i, j, _ in found})
+    assert all(worst == cells[i]._worst_excess(points[j]) for i, j, worst in found)
+    assert {(i, j, worst < 0) for i, j, worst in found} == all_pairs_located(cells, points)
+    if len(points) == 1:
+        assert [i for i, _, _ in found] == sorted(i for i, _, _ in found)
+    assert _interiors(cells, points) == [[i for i, c in enumerate(cells) if c._holds(x, strict=True)] for x in points]
+
+
+def test_located_on_r0_vertices_facets_and_outside():
+    point = cell_from_closure_points([()])
+    assert list(_located([point, point], [((), 1)])) == [(0, 0, -1), (1, 0, -1)]
+    assert sorted(_located([point], [((), 1), ((), 3)])) == [(0, 0, -1), (0, 1, -1)]
+    square = cell_from_closure_points([[0, 0], [1, 0], [0, 1], [1, 1]])
+    edge = cell_from_closure_points([[1, 0], [1, 1]])
+    cells = [square, edge]
+    corner, on_edge, inside, outside = ((1, 1), 1), ((2, 1), 2), ((1, 1), 2), ((3, 1), 2)
+    for batch in ([corner], [on_edge], [inside], [outside], [corner, on_edge, inside, outside], []):
+        assert {(i, j, w < 0) for i, j, w in _located(cells, batch)} == all_pairs_located(cells, batch)
+    assert {(i, j, w < 0) for i, j, w in _located(cells, [corner, on_edge, inside, outside])} == {
+        (0, 0, False), (1, 0, False), (0, 1, False), (1, 1, True), (0, 2, True)
+    }
 
 
 @SETTINGS

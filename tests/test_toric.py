@@ -224,15 +224,15 @@ def test_faces_through_tests_each_image_once(monkeypatch):
     a = random_toric_instance(1031)  # the standard 5-simplex over a circle
     assert (len(a.face_images), len(a.polytope.lattice.nonempty_faces())) == (3, 63)
     calls = []
-    original = RelOpenCell._holds
+    original = RelOpenCell._boxed_excess  # the one-point kernel of ``polyhedron._located``
 
-    def counted(cell, point, strict):
+    def counted(cell, point):
         calls.append(cell)
-        return original(cell, point, strict)
+        return original(cell, point)
 
     x = a.face_images[-1][0].sample_point()
     with monkeypatch.context() as m:
-        m.setattr(RelOpenCell, "_holds", counted)
+        m.setattr(RelOpenCell, "_boxed_excess", counted)
         faces = faces_through(a, x)
     assert calls == [cell for cell, _ in a.face_images]
     assert faces == [f for cell, fs in a.face_images if cell.contains(x) for f in fs]
